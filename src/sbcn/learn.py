@@ -17,6 +17,7 @@ from .model import BinaryDataset, Cpt, Dag, SbcnModel
 from .seeds import derive_seed
 
 LOG_EPS = 1e-12  # floor for log(0) so scores stay finite
+_POWERS_OF_TWO = 2.0 ** np.arange(1, 53)  # parent weights; float64 is exact to 2^53
 
 CRITERIA = ("bic", "aic")
 TP_MODES = ("rank", "marginal")
@@ -155,21 +156,29 @@ def prima_facie_edges(dataset: BinaryDataset, tp_mode: str = "rank") -> EdgeSet:
     return EdgeSet(n, edges)
 
 
-def _node_counts(vi: np.ndarray, col_f: np.ndarray, parents: tuple[int, ...]):
-    """Per-configuration (total, ones) counts for one node given its parents."""
-    if parents:
-        idx = vi[:, parents] @ (1 << np.arange(len(parents), dtype=np.int64))
-        size = 1 << len(parents)
-        total = np.bincount(idx, minlength=size).astype(np.float64)
-        ones = np.bincount(idx, weights=col_f, minlength=size)
-    else:
-        total = np.array([float(len(col_f))])
-        ones = np.array([float(col_f.sum())])
-    return total, ones
+def _data_matrix(dataset: BinaryDataset) -> np.ndarray:
+    """The data as column-major float64, the layout ``_node_counts`` reads
+    fastest."""
+    return dataset.values.astype(np.float64, order="F")
 
 
-def _node_ll(vi: np.ndarray, col_f: np.ndarray, parents: tuple[int, ...]) -> float:
-    total, ones = _node_counts(vi, col_f, parents)
+def _node_counts(x: np.ndarray, v: int, parents: tuple[int, ...]):
+    """Per-configuration (total, ones) counts for node ``v`` given its parents.
+
+    ``x`` comes from ``_data_matrix``.  One matvec codes each row as
+    2*config + value of v, with parent j weighted 2^(j+1): sums of distinct
+    powers of two are exact in float64.  One bincount then counts the codes.
+    """
+    w = np.zeros(x.shape[1])
+    w[v] = 1.0
+    w[list(parents)] = _POWERS_OF_TWO[: len(parents)]
+    pairs = np.bincount((x @ w).astype(np.intp), minlength=2 << len(parents)).reshape(-1, 2)
+    ones = pairs[:, 1]
+    return (pairs[:, 0] + ones).astype(np.float64), ones.astype(np.float64)
+
+
+def _node_ll(x: np.ndarray, v: int, parents: tuple[int, ...]) -> float:
+    total, ones = _node_counts(x, v, parents)
     mask = total > 0
     t = total[mask]
     c1 = ones[mask]
@@ -183,15 +192,14 @@ class _ScoreTable:
     """Caches per-node log-likelihood terms for one dataset."""
 
     def __init__(self, dataset: BinaryDataset):
-        self.vi = dataset.values.astype(np.int64)
-        self.cols = [self.vi[:, j].astype(np.float64) for j in range(dataset.n)]
+        self.x = _data_matrix(dataset)
         self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def node_ll(self, v: int, parents: tuple[int, ...]) -> float:
         key = (v, parents)
         hit = self._cache.get(key)
         if hit is None:
-            hit = _node_ll(self.vi, self.cols[v], parents)
+            hit = _node_ll(self.x, v, parents)
             self._cache[key] = hit
         return hit
 
@@ -204,10 +212,8 @@ def log_likelihood(dataset: BinaryDataset, dag: Dag) -> float:
     """
     if dag.n != dataset.n:
         raise ValueError(f"structure has {dag.n} nodes, dataset has {dataset.n}")
-    vi = dataset.values.astype(np.int64)
-    return sum(
-        _node_ll(vi, vi[:, v].astype(np.float64), dag.parents(v)) for v in range(dag.n)
-    )
+    table = _ScoreTable(dataset)
+    return sum(table.node_ll(v, dag.parents(v)) for v in range(dag.n))
 
 
 def _score_weights(criterion: str, m: int, aic_conventional: bool) -> tuple[float, float]:
@@ -219,12 +225,10 @@ def _score_weights(criterion: str, m: int, aic_conventional: bool) -> tuple[floa
     return 1.0, 2.0
 
 
-def _complexity(parent_counts, penalty: str) -> float:
-    """Model complexity k: arc count, or free CPT parameters (2^|parents|
-    Bernoulli entries per node)."""
-    if penalty == "arcs":
-        return float(sum(parent_counts))
-    return float(sum(2**q for q in parent_counts))
+def _node_cost(q: int, penalty: str) -> float:
+    """Complexity of one node with q parents: q arcs, or 2^q free CPT
+    parameters (one Bernoulli entry per parent configuration)."""
+    return float(q) if penalty == "arcs" else float(2**q)
 
 
 def regularized_score(
@@ -245,7 +249,7 @@ def regularized_score(
     if penalty not in PENALTIES:
         raise ValueError(f"penalty must be one of {PENALTIES}, got {penalty!r}")
     w, unit = _score_weights(criterion, dataset.m, aic_conventional)
-    k = _complexity([len(dag.parents(v)) for v in range(dag.n)], penalty)
+    k = sum(_node_cost(len(dag.parents(v)), penalty) for v in range(dag.n))
     return w * log_likelihood(dataset, dag) - unit * k
 
 
@@ -260,11 +264,11 @@ def fit_cpts(dataset: BinaryDataset, dag: Dag, smoothing: float = 1.0) -> SbcnMo
         raise ValueError(f"structure has {dag.n} nodes, dataset has {dataset.n}")
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
-    vi = dataset.values.astype(np.int64)
+    x = _data_matrix(dataset)
     cpts = []
     for v in range(dag.n):
         parents = dag.parents(v)
-        total, ones = _node_counts(vi, vi[:, v].astype(np.float64), parents)
+        total, ones = _node_counts(x, v, parents)
         denom = total + 2.0 * smoothing
         with np.errstate(divide="ignore", invalid="ignore"):
             table = (ones + smoothing) / denom
@@ -295,48 +299,65 @@ def _climb_once(
     candidates: list[tuple[int, int]],
     options: LearnOptions,
     seed: int,
-) -> tuple[frozenset[tuple[int, int]], float]:
-    m, n = table.vi.shape
-    w, unit = _score_weights(options.criterion, m, options.aic_conventional)
+) -> tuple[frozenset[tuple[int, int]], float, str, int]:
+    """One hill climb from the empty graph.
 
-    def node_cost(q: int) -> float:
-        return float(q) if options.penalty == "arcs" else float(2**q)
+    Returns the arcs, their score, why the climb stopped ("optimum",
+    "streak" or "cap") and how many proposals it made.
+    """
+    m, n = table.x.shape
+    w, unit = _score_weights(options.criterion, m, options.aic_conventional)
+    penalty = options.penalty
 
     parents: list[tuple[int, ...]] = [() for _ in range(n)]
     node_ll = [table.node_ll(v, ()) for v in range(n)]
     children: list[set[int]] = [set() for _ in range(n)]
     current: set[tuple[int, int]] = set()
-    score = w * sum(node_ll) - unit * n * node_cost(0)
+    score = w * sum(node_ll) - unit * n * _node_cost(0, penalty)
     if not candidates:
-        return frozenset(), score
+        return frozenset(), score, "optimum", 0
 
     rng = np.random.default_rng(seed)
     n_cand = len(candidates)
-    buffer = rng.integers(0, n_cand, size=4096)
+    buffer = rng.integers(0, n_cand, size=4096).tolist()
     buf_pos = 0
 
+    # Candidates rejected, or redrawn as cycle-closing, since the last
+    # accept.  The state and the cached scores do not change between
+    # accepts, so once this covers every candidate, every later proposal
+    # would be rejected too: the climb sits at a certified local optimum.
+    settled: set[int] = set()
     proposals = 0
     rejects_in_a_row = 0
     max_proposals = 100 * options.max_iterations
-    while rejects_in_a_row < options.max_iterations and proposals < max_proposals:
+    while (
+        len(settled) < n_cand
+        and rejects_in_a_row < options.max_iterations
+        and proposals < max_proposals
+    ):
         # uniform pick over valid neighbors: removals are always valid,
         # additions only when acyclic; cycle-creating picks are redrawn
         for _ in range(8 * n_cand):
             if buf_pos == len(buffer):
-                buffer = rng.integers(0, n_cand, size=4096)
+                buffer = rng.integers(0, n_cand, size=4096).tolist()
                 buf_pos = 0
-            u, v = candidates[buffer[buf_pos]]
+            pick = buffer[buf_pos]
             buf_pos += 1
+            u, v = candidates[pick]
             adding = (u, v) not in current
             if not adding or not _reaches(children, v, u):
                 break
+            settled.add(pick)
         else:
+            # never empty: an arc in ``current`` can always be removed, and
+            # on the empty graph no addition closes a cycle
             valid = [
-                e for e in candidates if e in current or not _reaches(children, e[1], e[0])
+                i
+                for i, (a, b) in enumerate(candidates)
+                if (a, b) in current or not _reaches(children, b, a)
             ]
-            if not valid:
-                break
-            u, v = valid[rng.integers(0, len(valid))]
+            pick = valid[rng.integers(0, len(valid))]
+            u, v = candidates[pick]
             adding = (u, v) not in current
 
         proposals += 1
@@ -345,7 +366,7 @@ def _climb_once(
         else:
             new_parents = tuple(p for p in parents[v] if p != u)
         delta = w * (table.node_ll(v, new_parents) - node_ll[v]) - unit * (
-            node_cost(len(new_parents)) - node_cost(len(parents[v]))
+            _node_cost(len(new_parents), penalty) - _node_cost(len(parents[v]), penalty)
         )
         if delta > 0:
             parents[v] = new_parents
@@ -358,9 +379,17 @@ def _climb_once(
                 children[u].discard(v)
             score += delta
             rejects_in_a_row = 0
+            settled.clear()
         else:
             rejects_in_a_row += 1
-    return frozenset(current), score
+            settled.add(pick)
+    if len(settled) == n_cand:
+        stop = "optimum"
+    elif rejects_in_a_row >= options.max_iterations:
+        stop = "streak"
+    else:
+        stop = "cap"
+    return frozenset(current), score, stop, proposals
 
 
 def hill_climb(dataset: BinaryDataset, allowed: EdgeSet, options: LearnOptions) -> Dag:
@@ -370,8 +399,11 @@ def hill_climb(dataset: BinaryDataset, allowed: EdgeSet, options: LearnOptions) 
     valid neighbor (single arc toggled, staying inside ``allowed`` and
     acyclic) and accepts it only on strict score improvement.  A run stops
     after ``max_iterations`` consecutive rejections or 100x that many total
-    proposals; with restarts, the best-scoring run wins (ties keep the
-    earliest restart).
+    proposals, or as soon as every candidate arc has been rejected (or found
+    to close a cycle) since the last accept.  That last stop is a certified
+    local optimum: no later proposal could be accepted, so stopping there
+    returns exactly what the longer rejection streak would.  With restarts,
+    the best-scoring run wins (ties keep the earliest restart).
     """
     if allowed.n != dataset.n:
         raise ValueError(f"candidate set has {allowed.n} nodes, dataset has {dataset.n}")
@@ -380,7 +412,9 @@ def hill_climb(dataset: BinaryDataset, allowed: EdgeSet, options: LearnOptions) 
     best_edges: frozenset[tuple[int, int]] = frozenset()
     best_score = -np.inf
     for restart in range(options.restarts + 1):
-        edges, score = _climb_once(table, candidates, options, derive_seed(options.seed, restart))
+        edges, score, _, _ = _climb_once(
+            table, candidates, options, derive_seed(options.seed, restart)
+        )
         if score > best_score:
             best_edges, best_score = edges, score
     return Dag(dataset.n, best_edges)

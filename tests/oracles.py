@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
-from sbcn.datagen import FactorModelSpec, simulate_dataset
+from sbcn.datagen import FactorModelSpec, market_factor_spec, simulate_dataset
 from sbcn.learn import regularized_score
 from sbcn.model import BinaryDataset, Cpt, Dag, SbcnModel
+from sbcn.seeds import derive_seed
 
 
 def dfs_cycle_oracle(n, edges):
@@ -71,6 +72,20 @@ def prima_facie_oracle(ds):
     return edges
 
 
+def direct_counts(values, v, parents):
+    """Per-configuration (total, ones) counts of column v by a row loop.
+
+    Configuration index: parent j (by position in ``parents``) is bit j.
+    """
+    total = [0] * 2 ** len(parents)
+    ones = [0] * 2 ** len(parents)
+    for row in values:
+        idx = sum(int(row[p]) << j for j, p in enumerate(parents))
+        total[idx] += 1
+        ones[idx] += int(row[v])
+    return np.array(total, dtype=np.float64), np.array(ones, dtype=np.float64)
+
+
 def all_dags(n):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     for r in range(len(pairs) + 1):
@@ -101,6 +116,12 @@ def tiny_linear_dataset(rng, m_lo=64, m_hi=257):
     )
     m = int(rng.integers(m_lo, m_hi))
     return simulate_dataset(spec, m, int(rng.integers(0, 2**31)))
+
+
+def famafrench(m, seed=11):
+    """The data ``sbcn simulate --mode famafrench --seed <seed> --samples m`` writes."""
+    spec = market_factor_spec(derive_seed(seed, 0))
+    return simulate_dataset(spec, m, derive_seed(seed, 1))
 
 
 def random_cpt_model(rng, n, edge_prob=0.4, names=None):

@@ -1,0 +1,106 @@
+"""Golden digests: learned models and a bootstrap report stay byte-identical.
+
+Performance work on the search and the score kernel must not change any
+result.  These sha256 digests of ``to_json()`` were recorded before such
+work began; a mismatch means the learner's output changed, and that is a
+bug unless the change to results is the point of the patch (then record
+the new digests and say so in CHANGES.md).
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+from oracles import famafrench
+from sbcn.bootstrap import edge_confidence
+from sbcn.datagen import sparse_random_instance
+from sbcn.learn import LearnOptions, learn_bn, learn_sbcn
+
+LEARNERS = {"sbcn": learn_sbcn, "bn": learn_bn}
+
+GOLDEN = {
+    "ff400-sbcn-arcs-bic-r0": "90197f1f93f712ebe5815719f1a6d35121bcf17eac50ce7a84bcadca1051bae8",
+    "ff400-sbcn-arcs-bic-r2": "24e6a3c20211e67b00d7bd8f3a7c8a8975d421eefc87f8d239136f838a9443bc",
+    "ff400-sbcn-arcs-aic-r0": "e260aab6909eb36547052b8d1e7878fbb1b5c7b2c870eb7d6c91aead86ca7182",
+    "ff400-sbcn-arcs-aic-r2": "e260aab6909eb36547052b8d1e7878fbb1b5c7b2c870eb7d6c91aead86ca7182",
+    "ff400-sbcn-parameters-bic-r0": "5d6ca4f7b2dbf70379d3c83d21de320fe2d4010faff679600fbe136de00fc109",
+    "ff400-sbcn-parameters-bic-r2": "477dacb4570c7131a8c2024f351e23e6c6d9813216c4530a86d4183843bf9a25",
+    "ff400-sbcn-parameters-aic-r0": "df786a98bf8a42db837b6523f6d3c559fd54ab7ed49f267a014830415032d778",
+    "ff400-sbcn-parameters-aic-r2": "df786a98bf8a42db837b6523f6d3c559fd54ab7ed49f267a014830415032d778",
+    "ff400-bn-arcs-bic-r0": "d40474e43925455ea82ea61e90019a1fdf470f2d23d99311b2d2a1f8e284bcc9",
+    "ff400-bn-arcs-bic-r2": "d40474e43925455ea82ea61e90019a1fdf470f2d23d99311b2d2a1f8e284bcc9",
+    "ff400-bn-arcs-aic-r0": "0e699b3f540d30ea80c105398151e9bcb91571b025df41da98534f57c6b5f52b",
+    "ff400-bn-arcs-aic-r2": "0e699b3f540d30ea80c105398151e9bcb91571b025df41da98534f57c6b5f52b",
+    "ff400-bn-parameters-bic-r0": "0b96a795091cf958facdd87a8051103dc8096f4148e42e79091eb596f8883fa5",
+    "ff400-bn-parameters-bic-r2": "0b96a795091cf958facdd87a8051103dc8096f4148e42e79091eb596f8883fa5",
+    "ff400-bn-parameters-aic-r0": "352e3ca23d2f665a14b11eb854f388e61ec2ced24ec9b4c80f7ec7834fb6ca8d",
+    "ff400-bn-parameters-aic-r2": "185b5d099e4cc39043fc838a97acd013c4c8cbfc9dc5598fbe73896121227841",
+    "ff5000-sbcn-arcs-bic-r0": "e8a11d2d14382c65769f1e3da8db97a96830f42d300249ae64f7086a6f8c71a7",
+    "ff5000-sbcn-arcs-bic-r2": "e8a11d2d14382c65769f1e3da8db97a96830f42d300249ae64f7086a6f8c71a7",
+    "ff5000-sbcn-arcs-aic-r0": "d7a5fb2817d01b3c8db01dd496a63d5976ad527a945f5e60875d91f6ff45fc05",
+    "ff5000-sbcn-arcs-aic-r2": "d7a5fb2817d01b3c8db01dd496a63d5976ad527a945f5e60875d91f6ff45fc05",
+    "ff5000-sbcn-parameters-bic-r0": "f26a912394fc8add4abd7035d5ac48773e7aa14120646df01fb95ff76766c27a",
+    "ff5000-sbcn-parameters-bic-r2": "f26a912394fc8add4abd7035d5ac48773e7aa14120646df01fb95ff76766c27a",
+    "ff5000-sbcn-parameters-aic-r0": "7e2d3e017964e9bf111b91245f99946eaec8d772770614aec7841c393b2a2d57",
+    "ff5000-sbcn-parameters-aic-r2": "c4c7c4c8213a5f52d675fb918ba23f21fe48a0143df636c2ea81eb1b0ce3d8c7",
+    "ff5000-bn-arcs-bic-r0": "346ae3204a39d938553b189d79fb9fab3a790fe0dbfa65cb0fc35cd8271492a8",
+    "ff5000-bn-arcs-bic-r2": "c933c4f670c7cef85f142d56df80992150c3e347d5a0882dd682ac31979ef657",
+    "ff5000-bn-arcs-aic-r0": "346ae3204a39d938553b189d79fb9fab3a790fe0dbfa65cb0fc35cd8271492a8",
+    "ff5000-bn-arcs-aic-r2": "9e6d5d898b9f34653cb05d1d68871384d8d6b84669c4f3d23671923c040a39d6",
+    "ff5000-bn-parameters-bic-r0": "d6bcbd449f12fb12db163eceda271952cad8123b82f21e4be4fb32e420d4cdba",
+    "ff5000-bn-parameters-bic-r2": "b8f73feee0ce667be1b512c059b6ea6ae116b8ff970c27d8c1d8edb99df670ee",
+    "ff5000-bn-parameters-aic-r0": "6f85cfcc391b6a63bd4c18f7084ace0839e35f9951849e02c0421aef6395047e",
+    "ff5000-bn-parameters-aic-r2": "4a9ccff6b8db140dfcd667d99f23832c1b031fe72d556ea102130dd69b679dbc",
+    "sparse250-sbcn-arcs-bic-r0": "d7fa66cab738ef17726b2431a1214dff78167c931b1d5bda8a55e2c2724bbaca",
+    "sparse250-sbcn-arcs-bic-r2": "d7fa66cab738ef17726b2431a1214dff78167c931b1d5bda8a55e2c2724bbaca",
+    "sparse250-sbcn-arcs-aic-r0": "94154d6b1a8261e2fb8e6a098b7f5750274ca2bc394e848f47ef03fb99686822",
+    "sparse250-sbcn-arcs-aic-r2": "94154d6b1a8261e2fb8e6a098b7f5750274ca2bc394e848f47ef03fb99686822",
+    "sparse250-sbcn-parameters-bic-r0": "89220b1be4e9ffb5129b4d02da30e5143d810c22895221b1485247cfadcba790",
+    "sparse250-sbcn-parameters-bic-r2": "a09d4ebcc4f0220c382af3e16c0eb1bd78adfbb0fc818e6ab75e754afa99d7b1",
+    "sparse250-sbcn-parameters-aic-r0": "2666e6de1ad33ec5980edf15efaaf77028d979da72ca89b2827405ab383759f4",
+    "sparse250-sbcn-parameters-aic-r2": "2666e6de1ad33ec5980edf15efaaf77028d979da72ca89b2827405ab383759f4",
+    "sparse250-bn-arcs-bic-r0": "4806d06284768c16012d5bc7c5d2c6f2b0793aa47fcb3922da26a63ae2083161",
+    "sparse250-bn-arcs-bic-r2": "af7b1a61c699400d8d68a50f3c1f26f688f9733932865a9b37f8be07eb7f7941",
+    "sparse250-bn-arcs-aic-r0": "d6d80afcad3ee0d98b2720471cd559d58d892e5bdb99f92e65bbb30bc545341b",
+    "sparse250-bn-arcs-aic-r2": "d6d80afcad3ee0d98b2720471cd559d58d892e5bdb99f92e65bbb30bc545341b",
+    "sparse250-bn-parameters-bic-r0": "d2a206e1d87994d1c117aa78939c7f210c267bc14b976e6377ee95176a12ba41",
+    "sparse250-bn-parameters-bic-r2": "cf1fe0c57aa783f676101059b4bf1bb094e71bd9e1db2b85134492774b721eeb",
+    "sparse250-bn-parameters-aic-r0": "ecbe70cf5de3d9e7a69ae699281bfb72d9aeafd432bce4f969d053eb550c6382",
+    "sparse250-bn-parameters-aic-r2": "7332bc214fae6db4f4264a53dc241c4e5d0324f85dd502e13b1eb98207b97560",
+}
+
+BOOTSTRAP_GOLDEN = "b1bbd8857ae32f23dbc03c48bfcc6d4cf22ca600acf51f2cb86cf56df519401d"
+
+CASES = [
+    f"{data}-{learner}-{penalty}-{criterion}-r{restarts}"
+    for data, learner, penalty, criterion, restarts in itertools.product(
+        ("ff400", "ff5000", "sparse250"), LEARNERS, ("arcs", "parameters"), ("bic", "aic"), (0, 2)
+    )
+]
+
+
+@pytest.fixture(scope="module")
+def datasets():
+    return {
+        "ff400": famafrench(400),
+        "ff5000": famafrench(5000),
+        "sparse250": sparse_random_instance(T=250, seed=5)[2],
+    }
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_learned_model_digest(datasets, case):
+    data, learner, penalty, criterion, restarts = case.split("-")
+    options = LearnOptions(criterion=criterion, penalty=penalty, restarts=int(restarts[1:]), seed=3)
+    model = LEARNERS[learner](datasets[data], options)
+    assert sha256(model.to_json()) == GOLDEN[case]
+
+
+def test_bootstrap_report_digest(datasets):
+    report = edge_confidence(datasets["ff400"], LearnOptions(seed=3), replicates=4)
+    assert sha256(report.to_json()) == BOOTSTRAP_GOLDEN

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_dags,
+    direct_counts,
     exhaustive_best_score,
+    famafrench,
     make_dataset as dataset,
     prima_facie_oracle,
     tiny_linear_dataset,
@@ -26,7 +28,8 @@ from sbcn.learn import (
     prima_facie_edges,
     regularized_score,
 )
-from sbcn.model import BinaryDataset, Dag
+from sbcn.learn import _climb_once, _data_matrix, _node_counts, _ScoreTable
+from sbcn.model import BinaryDataset, Dag, has_cycle
 
 
 class TestEmpiricalProbabilities:
@@ -327,8 +330,6 @@ class TestHillClimb:
             assert dag.edges <= allowed.edges  # Dag construction enforces acyclicity
 
     def test_incremental_score_equals_recompute(self):
-        from sbcn.learn import _climb_once, _ScoreTable
-
         rng = np.random.default_rng(20)
         for trial in range(25):
             n = int(rng.integers(2, 6))
@@ -336,7 +337,9 @@ class TestHillClimb:
             ds = dataset(values)
             allowed = EdgeSet(n, [(u, v) for u in range(n) for v in range(n) if u != v])
             options = LearnOptions(max_iterations=150, seed=trial)
-            edges, running = _climb_once(_ScoreTable(ds), sorted(allowed.edges), options, seed=trial)
+            edges, running, _, _ = _climb_once(
+                _ScoreTable(ds), sorted(allowed.edges), options, seed=trial
+            )
             assert running == pytest.approx(
                 regularized_score(ds, Dag(n, edges), "bic"), abs=1e-9
             )
@@ -348,6 +351,77 @@ class TestHillClimb:
         allowed = EdgeSet(4, [(u, v) for u in range(4) for v in range(4) if u != v])
         opts = LearnOptions(max_iterations=200, seed=99)
         assert hill_climb(ds, allowed, opts).edges == hill_climb(ds, allowed, opts).edges
+
+
+class TestCountKernel:
+    @pytest.mark.parametrize("m", [1, 250, 5000])
+    def test_matches_direct_count(self, m):
+        rng = np.random.default_rng(m)
+        values = rng.integers(0, 2, size=(m, 15))
+        values[:, 13] = 0  # constant columns: half the configurations
+        values[:, 14] = 1  # of any parent set holding them go unobserved
+        ds = dataset(values)
+        x = _data_matrix(ds)
+        for q in range(13):
+            v = int(rng.integers(0, 15))
+            others = [c for c in range(15) if c != v]
+            parents = tuple(int(p) for p in rng.choice(others, size=q, replace=False))
+            total, ones = _node_counts(x, v, parents)
+            want_total, want_ones = direct_counts(values, v, parents)
+            assert total.dtype == ones.dtype == np.float64
+            assert np.array_equal(total, want_total)
+            assert np.array_equal(ones, want_ones)
+
+
+class TestStopReason:
+    def test_famafrench_default_stops_at_certified_optimum(self):
+        ds = famafrench(400)
+        candidates = sorted(prima_facie_edges(ds).edges)
+        options = LearnOptions()
+        for seed in range(3):
+            _, _, stop, proposals = _climb_once(_ScoreTable(ds), candidates, options, seed)
+            assert stop == "optimum"
+            assert proposals < options.max_iterations
+
+    def test_tiny_max_iterations_stops_on_streak(self):
+        ds = famafrench(400)
+        candidates = sorted(prima_facie_edges(ds).edges)
+        options = LearnOptions(max_iterations=1)
+        _, _, stop, proposals = _climb_once(_ScoreTable(ds), candidates, options, seed=0)
+        assert stop == "streak"
+        assert proposals <= 100
+
+    def test_cap_when_every_proposal_is_accepted(self):
+        class EverBetter(_ScoreTable):
+            """Each lookup scores higher than the last, so nothing is rejected."""
+
+            calls = 0
+
+            def node_ll(self, v, parents):
+                self.calls += 1
+                return float(self.calls)
+
+        ds = dataset(np.eye(3, dtype=int))
+        candidates = [(u, v) for u in range(3) for v in range(3) if u != v]
+        options = LearnOptions(max_iterations=2)
+        _, _, stop, proposals = _climb_once(EverBetter(ds), candidates, options, seed=0)
+        assert (stop, proposals) == ("cap", 200)
+
+    def test_certified_optimum_admits_no_improving_toggle(self):
+        rng = np.random.default_rng(21)
+        for trial in range(20):
+            n = int(rng.integers(2, 6))
+            ds = dataset(rng.integers(0, 2, size=(int(rng.integers(10, 80)), n)))
+            candidates = [(u, v) for u in range(n) for v in range(n) if u != v]
+            edges, score, stop, _ = _climb_once(
+                _ScoreTable(ds), candidates, LearnOptions(seed=trial), seed=trial
+            )
+            assert stop == "optimum"
+            for e in candidates:
+                toggled = edges ^ {e}
+                if has_cycle(n, toggled):
+                    continue
+                assert regularized_score(ds, Dag(n, toggled)) <= score + 1e-9
 
 
 class TestLearners:
