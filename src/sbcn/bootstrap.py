@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .learn import LearnOptions, fit_cpts, learn_bn, learn_sbcn
-from .model import BinaryDataset, Dag, ModelSchemaError, SbcnModel
+from .model import BinaryDataset, Dag, ModelSchemaError, SbcnModel, _dumps_indent2
 from .seeds import derive_seed
 
 
@@ -40,7 +40,7 @@ class BootstrapReport:
             "threshold": self.threshold,
             "confidence": sorted([u, v, float(c)] for (u, v), c in self.confidence.items()),
         }
-        return json.dumps(obj, indent=2) + "\n"
+        return _dumps_indent2(obj) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "BootstrapReport":

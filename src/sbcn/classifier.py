@@ -16,7 +16,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .model import ModelSchemaError
+from .model import ModelSchemaError, _dumps_indent2
 
 RISKY = "risky"
 PROFITABLE = "profitable"
@@ -127,10 +127,8 @@ class DecisionTree:
     feature_names: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"feature_names": list(self.feature_names), "root": _node_to_obj(self.root)},
-            indent=2,
-        ) + "\n"
+        obj = {"feature_names": list(self.feature_names), "root": _node_to_obj(self.root)}
+        return _dumps_indent2(obj) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "DecisionTree":

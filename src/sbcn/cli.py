@@ -42,12 +42,12 @@ from .seeds import derive_seed
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 

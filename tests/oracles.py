@@ -12,7 +12,7 @@ import numpy as np
 
 from sbcn.datagen import FactorModelSpec, market_factor_spec, simulate_dataset
 from sbcn.learn import regularized_score
-from sbcn.model import BinaryDataset, Cpt, Dag, SbcnModel
+from sbcn.model import BinaryDataset, Cpt, CsvFormatError, Dag, SbcnModel
 from sbcn.seeds import derive_seed
 
 
@@ -84,6 +84,56 @@ def direct_counts(values, v, parents):
         total[idx] += 1
         ones[idx] += int(row[v])
     return np.array(total, dtype=np.float64), np.array(ones, dtype=np.float64)
+
+
+def rows_csv_oracle(header_lines, values):
+    """The per-cell row writer: header lines, then one 0/1 row per matrix row."""
+    lines = list(header_lines)
+    for row in values:
+        lines.append(",".join("1" if c else "0" for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def dataset_csv_oracle(text):
+    """The per-cell dataset CSV parser, error messages included."""
+    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    if not lines:
+        raise CsvFormatError("empty CSV: expected a header row of variable names")
+    names = [s.strip() for s in lines[0].split(",")]
+    n = len(names)
+    body_start = 1
+    rank = [0] * n
+    if len(lines) > 1 and lines[1].startswith("#rank:"):
+        fields = lines[1][len("#rank:"):].split(",")
+        if len(fields) != n:
+            raise CsvFormatError(
+                f"row 2: #rank line has {len(fields)} entries, expected {n}"
+            )
+        try:
+            rank = [int(f) for f in fields]
+        except ValueError as exc:
+            raise CsvFormatError(f"row 2: bad rank entry ({exc})") from None
+        body_start = 2
+    rows = []
+    for ln_no, line in enumerate(lines[body_start:], start=body_start + 1):
+        cells = line.split(",")
+        if len(cells) != n:
+            raise CsvFormatError(
+                f"row {ln_no}: {len(cells)} cells, expected {n}"
+            )
+        row = []
+        for col_no, cell in enumerate(cells, start=1):
+            cell = cell.strip()
+            if cell not in ("0", "1"):
+                raise CsvFormatError(
+                    f"row {ln_no}, column {col_no}: invalid cell {cell!r} "
+                    "(must be 0 or 1)"
+                )
+            row.append(int(cell))
+        rows.append(row)
+    if not rows:
+        raise CsvFormatError("CSV has a header but no observation rows")
+    return BinaryDataset(np.array(rows, dtype=np.uint8), names, rank)
 
 
 def all_dags(n):

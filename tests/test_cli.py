@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,3 +222,24 @@ class TestSweep:
         first = read(out)
         assert run(["sweep", "--config", cfg, "--out", out, "--threads", 2]) == 0
         assert read(out) == first
+
+
+class TestEncoding:
+    def test_utf8_files_under_ascii_locale(self, tmp_path):
+        """Files are UTF-8 whatever the locale's encoding is."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONPATH=str(src))
+        data = tmp_path / "data.csv"
+        data.write_bytes("é,b\n0,1\n1,0\n1,1\n0,0\n".encode("utf-8"))
+
+        def cli(*args):
+            command = [sys.executable, "-X", "utf8=0", "-m", "sbcn.cli", *map(str, args)]
+            return subprocess.run(command, env=env, capture_output=True, encoding="utf-8")
+
+        done = cli("infer", "--data", data, "--out-model", tmp_path / "m.json")
+        assert done.returncode == 0, done.stderr
+        assert SbcnModel.from_json(read(tmp_path / "m.json")).names == ("é", "b")
+        done = cli("stress", "--model", tmp_path / "m.json", "--clamp", "b=1", "--count", 3,
+                   "--out-scenarios", tmp_path / "s.csv")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "s.csv").read_bytes().startswith("é,b\n".encode("utf-8"))

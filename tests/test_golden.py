@@ -1,10 +1,11 @@
-"""Golden digests: learned models and a bootstrap report stay byte-identical.
+"""Golden digests: learned models, a bootstrap report and the files the CLI
+writes stay byte-identical.
 
-Performance work on the search and the score kernel must not change any
-result.  These sha256 digests of ``to_json()`` were recorded before such
-work began; a mismatch means the learner's output changed, and that is a
-bug unless the change to results is the point of the patch (then record
-the new digests and say so in CHANGES.md).
+Performance work on the search, the score kernel and the artifact IO must
+not change any result.  These sha256 digests were recorded before such work
+began; a mismatch means the output changed, and that is a bug unless the
+change to results is the point of the patch (then record the new digests
+and say so in CHANGES.md).
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 
 from oracles import famafrench
 from sbcn.bootstrap import edge_confidence
+from sbcn.cli import main
 from sbcn.datagen import sparse_random_instance
 from sbcn.learn import LearnOptions, learn_bn, learn_sbcn
 
@@ -104,3 +106,56 @@ def test_learned_model_digest(datasets, case):
 def test_bootstrap_report_digest(datasets):
     report = edge_confidence(datasets["ff400"], LearnOptions(seed=3), replicates=4)
     assert sha256(report.to_json()) == BOOTSTRAP_GOLDEN
+
+
+# CLI artifacts at fixed seeds: every file the subcommands write, in the
+# byte layout the IO layer emits (CSV rows, indent-2 JSON, float text).
+CLI_GOLDEN = {
+    "evaluate.csv": "385d9da2e715be5535b4cce89801beb0a8c00a09b6fc9c2385b03b8448b7e64c",
+    "ff-data.csv": "345f67e32fe295597baf5590f323eba83dcb65a29c0a188084d00e14b07f05a7",
+    "ff-truth.json": "4defb99f30f18e311eaf43e25220856d0f0417d8a9f126f2bcebb0438cc3063f",
+    "infer-model.json": "38db2eaf329882f8fbfb8dd5a794d378206b9221fc55c5bad331aba200bd7003",
+    "infer-report.json": "b5ba18d85a40c18e23b19b8b33492e2326b1a6cf72427f81a59f9879d8867be9",
+    "sparse-data.csv": "9eb6717633fc2affe52617b44260cad3dcaf5c3d74e161eb30ee965120c9ee39",
+    "sparse-truth.json": "6e956417715bdf09e0845dc3ca9300d9ee05293e65cc89c3eb61f104c23b95d7",
+    "stress-clamp.csv": "d53766d4762cd41cb4a5097861e58372f5305e0717409a88b68c2342074aaef1",
+    "stress-count0-tree.json": "10418886582a62529a4734dedbede93039eb067fe894a7d7faa7f2417897db91",
+    "stress-count0.csv": "5cdd5c8b2d03fba51e16300669defba5a5475510e52f649b6e0b52fb23243661",
+    "stress-tree.csv": "f5c351c0c0fc42db46a6f5462e5a4a9d567448343e7b6ccac918ce5c1e3a3c7a",
+    "stress-tree.json": "10418886582a62529a4734dedbede93039eb067fe894a7d7faa7f2417897db91",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_artifacts(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+
+    def run(*args):
+        assert main([str(a) for a in args]) == 0
+
+    run("simulate", "--mode", "famafrench", "--samples", 2000, "--seed", 5,
+        "--out-data", d / "ff-data.csv", "--out-truth", d / "ff-truth.json")
+    run("simulate", "--mode", "sparse", "--samples", 300, "--seed", 7,
+        "--out-data", d / "sparse-data.csv", "--out-truth", d / "sparse-truth.json")
+    run("infer", "--data", d / "ff-data.csv", "--bootstrap", 2, "--threads", 1, "--seed", 3,
+        "--out-model", d / "infer-model.json", "--out-report", d / "infer-report.json")
+    run("stress", "--model", d / "infer-model.json", "--risky-fraction", 0.2,
+        "--count", 500, "--seed", 4, "--out-scenarios", d / "stress-tree.csv",
+        "--out-tree", d / "stress-tree.json")
+    run("stress", "--model", d / "infer-model.json", "--clamp", "Km=0,SMB=0",
+        "--count", 500, "--seed", 4, "--out-scenarios", d / "stress-clamp.csv")
+    run("stress", "--model", d / "infer-model.json", "--risky-fraction", 0.2,
+        "--count", 0, "--seed", 4, "--out-scenarios", d / "stress-count0.csv",
+        "--out-tree", d / "stress-count0-tree.json")
+    run("evaluate", "--model", d / "infer-model.json", "--truth", d / "ff-truth.json",
+        "--out", d / "evaluate.csv")
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in d.iterdir()}
+
+
+@pytest.mark.parametrize("artifact", sorted(CLI_GOLDEN))
+def test_cli_artifact_digest(cli_artifacts, artifact):
+    assert cli_artifacts[artifact] == CLI_GOLDEN[artifact]
+
+
+def test_cli_artifacts_all_pinned(cli_artifacts):
+    assert sorted(cli_artifacts) == sorted(CLI_GOLDEN)

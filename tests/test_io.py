@@ -1,0 +1,214 @@
+"""Artifact IO against the per-cell reference implementations in ``oracles``.
+
+The dataset CSV reader has a one-pass path for the canonical layout and a
+per-row path for everything else; both must give the oracle's dataset, or
+the oracle's error message.  The CSV writers and the indent-2 JSON writer
+must give the oracle's bytes.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import dataset_csv_oracle, rows_csv_oracle
+from sbcn.model import (
+    BinaryDataset,
+    CsvFormatError,
+    _canonical_csv,
+    _dumps_indent2,
+    scenarios_to_csv,
+)
+
+NAME = st.text(st.sampled_from("abcxyzAB_09é"), min_size=1, max_size=4)
+PAD = st.sampled_from(["", " ", "\t", "  ", " \t"])
+
+
+@st.composite
+def datasets(draw):
+    names = draw(st.lists(NAME, min_size=1, max_size=6, unique=True))
+    n = len(names)
+    m = draw(st.integers(1, 12))
+    values = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                           min_size=m, max_size=m))
+    rank = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return BinaryDataset(np.array(values, dtype=np.uint8), names, rank)
+
+
+@st.composite
+def layouts(draw, ds):
+    """CSV text of ``ds`` in a randomly lenient layout (possibly canonical)."""
+    pad = lambda s: draw(PAD) + s + draw(PAD)  # noqa: E731
+    lenient = draw(st.booleans())
+    lines = [",".join(pad(s) if lenient else s for s in ds.names)]
+    with_rank = draw(st.booleans())
+    if with_rank:
+        lines.append("#rank:" + ",".join(str(r) for r in ds.rank))
+    for row in ds.values:
+        lines.append(",".join(pad(str(c)) if lenient else str(c) for c in row))
+    if lenient:
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t "])))
+    eol = draw(st.sampled_from(["\n", "\r\n"])) if lenient else "\n"
+    trailing = draw(st.booleans()) if lenient else True
+    text = eol.join(lines) + (eol if trailing else "")
+    return text, with_rank
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except CsvFormatError as exc:
+        return ("CsvFormatError", str(exc))
+
+
+class TestReadDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_valid_layouts_match_oracle(self, data):
+        ds = data.draw(datasets())
+        text, with_rank = data.draw(layouts(ds))
+        got = BinaryDataset.from_csv(text)
+        assert got == dataset_csv_oracle(text)
+        assert got.values.tolist() == ds.values.tolist() and got.names == ds.names
+        assert got.rank == (ds.rank if with_rank else (0,) * ds.n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_malformed_text_gives_oracle_message(self, data):
+        ds = data.draw(datasets())
+        text, with_rank = data.draw(layouts(ds))
+        lines = text.splitlines()
+        body = [i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#rank:")][1:]
+        fault = data.draw(st.sampled_from(["cell", "width", "rank", "no_rows", "empty"]))
+        if fault == "cell":
+            i = data.draw(st.sampled_from(body))
+            cells = lines[i].split(",")
+            j = data.draw(st.integers(0, len(cells) - 1))
+            bad = ["2", "x", "01", "1 1", "-1", "1.0", "é"] + ([""] if len(cells) > 1 else [])
+            cells[j] = data.draw(st.sampled_from(bad))
+            lines[i] = ",".join(cells)
+        elif fault == "width":
+            i = data.draw(st.sampled_from(body))
+            cells = lines[i].split(",")
+            lines[i] = ",".join(cells + ["1"] if data.draw(st.booleans()) or len(cells) == 1
+                                else cells[:-1])
+        elif fault == "rank":
+            entries = [str(r) for r in ds.rank]
+            if data.draw(st.booleans()):
+                entries[data.draw(st.integers(0, ds.n - 1))] = data.draw(
+                    st.sampled_from(["x", "", "1.5", "0x1"]))
+            else:
+                entries = entries[:-1] if len(entries) > 1 else entries + ["0"]
+            rank_line = "#rank:" + ",".join(entries)
+            if with_rank:
+                lines = [rank_line if ln.startswith("#rank:") else ln for ln in lines]
+            else:
+                lines.insert(next(i for i, ln in enumerate(lines) if ln.strip()) + 1, rank_line)
+        elif fault == "no_rows":
+            lines = [ln for i, ln in enumerate(lines) if i not in body]
+        else:
+            lines = data.draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=3))
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = eol.join(lines) + data.draw(st.sampled_from(["", eol]))
+        expected = outcome(dataset_csv_oracle, text)
+        assert isinstance(expected, tuple), f"fault {fault} left the text valid"
+        assert outcome(BinaryDataset.from_csv, text) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(datasets())
+    def test_written_csv_takes_one_pass_parse(self, ds):
+        lines, values = _canonical_csv(ds.to_csv())
+        assert lines == ds.to_csv().splitlines()[:2]
+        assert values.tolist() == ds.values.tolist()
+
+    @pytest.mark.parametrize("text", [
+        "a ,b\n0,1\n", "a,b\r\n0,1\n", "\na,b\n0,1\n", "a,b\n#rank:0,1\n\n0,1\n",
+        "  \n0\n1\n", "a\rb,c\n0,1\n", "a,b\n#rank:0,\x0c1\n0,1\n", "a,b\n#rank:0,1\n",
+    ])
+    def test_canonical_body_with_noncanonical_head_uses_row_parse(self, text):
+        assert outcome(BinaryDataset.from_csv, text) == outcome(dataset_csv_oracle, text)
+
+
+class TestWriteDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.integers(1, 5),
+        st.sampled_from([np.uint8, np.bool_, np.int64, np.float64]),
+        st.data(),
+    )
+    def test_scenarios_to_csv_matches_oracle(self, m, n, dtype, data):
+        pool = {np.uint8: [0, 1], np.bool_: [False, True], np.int64: [0, 1, -3, 2**40],
+                np.float64: [0.0, -0.0, 1.0, 0.5, -2.0, np.nan, np.inf]}[dtype]
+        arr = np.array(data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=n,
+                                                   max_size=n), min_size=m, max_size=m)),
+                       dtype=dtype).reshape(m, n)
+        names = data.draw(st.lists(NAME, min_size=n, max_size=n, unique=True))
+        assert scenarios_to_csv(arr, names) == rows_csv_oracle([",".join(names)], arr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(datasets())
+    def test_dataset_to_csv_matches_oracle(self, ds):
+        head = [",".join(ds.names), "#rank:" + ",".join(str(r) for r in ds.rank)]
+        assert ds.to_csv() == rows_csv_oracle(head, ds.values)
+
+    def test_zero_columns(self):
+        arr = np.zeros((3, 0), dtype=np.uint8)
+        assert scenarios_to_csv(arr, []) == rows_csv_oracle([""], arr)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6))
+JSON_KEYS = st.text(max_size=6) | st.integers(-5, 5) | st.floats(allow_nan=False) | st.booleans()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.tuples(inner, inner)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_equals_json_dumps_indent2(self, obj):
+        assert _dumps_indent2(obj) == json.dumps(obj, indent=2)
+
+    def test_examples(self):
+        for obj in ({}, [], {"a": []}, [{}], [[1, 2], [3.5, None]], {"é": ["ü", True, 1e300]},
+                    [np.float64(0.1), 2], {"t": np.arange(4, dtype=float).tolist()}):
+            assert _dumps_indent2(obj) == json.dumps(obj, indent=2)
+
+    def test_unencodable_key(self):
+        with pytest.raises(TypeError):
+            _dumps_indent2({(1, 2): 0})
+
+
+class TestCsvNames:
+    @pytest.mark.parametrize("names, column", [
+        (["a,b", "c"], 1), ([" a", "b"], 1), (["a", "b "], 2), (["a", "b\nc"], 2),
+        (["a", "\tb"], 2), (["a\rb", "c"], 1),
+    ])
+    def test_writer_rejects_names_that_do_not_read_back(self, names, column):
+        ds = BinaryDataset([[0, 1]], names, [0, 0])
+        with pytest.raises(ValueError, match=f"column {column}: name"):
+            ds.to_csv()
+        with pytest.raises(ValueError, match=f"column {column}: name"):
+            scenarios_to_csv(np.zeros((1, 2), dtype=np.uint8), names)
+
+    def test_inner_space_round_trips(self):
+        ds = BinaryDataset([[0, 1]], ["a b", "é"], [0, 1])
+        assert BinaryDataset.from_csv(ds.to_csv()) == ds
+
+    @pytest.mark.parametrize("text", ["a,b,a\n0,1,0\n", "a, b ,b\n0 ,1,0\n"])
+    def test_duplicate_header_name(self, text):
+        with pytest.raises(CsvFormatError, match=r"row 1, column 3: duplicate variable name"):
+            BinaryDataset.from_csv(text)
+
+    @pytest.mark.parametrize("text", ["a,b\n#rank:0,-1\n0,1\n", "a,b\r\n#rank:0,-1\r\n0,1\r\n"])
+    def test_negative_rank(self, text):
+        with pytest.raises(CsvFormatError, match=r"row 2, column 2: negative rank -1"):
+            BinaryDataset.from_csv(text)
