@@ -27,8 +27,8 @@ from .datagen import (
     simulate_dataset,
     sparse_random_instance,
 )
-from .evaluation import SweepConfig, arc_contingency, run_sweep
-from .learn import LearnOptions, learn_bn, learn_sbcn
+from .evaluation import GENERATOR_MODES, LEARNERS, SweepConfig, arc_contingency, run_sweep
+from .learn import CRITERIA, PENALTIES, LearnOptions, learn_bn, learn_sbcn
 from .model import (
     BinaryDataset,
     SbcnModel,
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate synthetic data with known ground truth")
-    p.add_argument("--mode", choices=("famafrench", "sparse"), default="famafrench")
+    p.add_argument("--mode", choices=GENERATOR_MODES, default="famafrench")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--spec", help="JSON file of generator parameter overrides")
@@ -248,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="learn a causal network from a dataset CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--learner", choices=("sbcn", "bn"), default="sbcn")
-    p.add_argument("--criterion", choices=("bic", "aic"), default="bic")
+    p.add_argument("--learner", choices=LEARNERS, default="sbcn")
+    p.add_argument("--criterion", choices=CRITERIA, default="bic")
     p.add_argument(
         "--penalty",
-        choices=("arcs", "parameters"),
+        choices=PENALTIES,
         default="arcs",
         help="complexity measure in the score: arc count or free CPT parameters",
     )

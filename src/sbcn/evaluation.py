@@ -16,7 +16,7 @@ import numpy as np
 
 from .bootstrap import edge_confidence, prune
 from .datagen import market_factor_spec, simulate_dataset, sparse_random_instance, ground_truth_dag
-from .learn import LearnOptions, learn_bn, learn_sbcn
+from .learn import CRITERIA, PENALTIES, LearnOptions, learn_bn, learn_sbcn
 from .model import ContingencyStats, Dag, ModelSchemaError, float_repr
 from .seeds import derive_seed
 
@@ -84,13 +84,13 @@ class SweepConfig:
             if learner not in LEARNERS:
                 raise ModelSchemaError(f"unknown learner {learner!r}")
         for crit in self.criteria:
-            if crit not in ("bic", "aic"):
+            if crit not in CRITERIA:
                 raise ModelSchemaError(f"unknown criterion {crit!r}")
         if self.repetitions < 1:
             raise ModelSchemaError("repetitions must be >= 1")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ModelSchemaError("confidence_threshold must lie in [0, 1]")
-        if self.penalty not in ("arcs", "parameters"):
+        if self.penalty not in PENALTIES:
             raise ModelSchemaError(f"unknown penalty {self.penalty!r}")
 
     @classmethod

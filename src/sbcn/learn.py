@@ -9,6 +9,7 @@ filter disabled (every ordered pair allowed) is provided for comparison.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ from .seeds import derive_seed
 
 LOG_EPS = 1e-12  # floor for log(0) so scores stay finite
 _POWERS_OF_TWO = 2.0 ** np.arange(1, 53)  # parent weights; float64 is exact to 2^53
+# The packed-column kernel scores a parent set when the data has at most
+# _PACKED_MAX_ROWS rows and the set at most _PACKED_MAX_PARENTS parents;
+# above either, the bincount kernel is as fast or faster (README, "Search
+# notes").  _PACKED_MAX_ROWS also caps the term rows at about 4 MB.
+_PACKED_MAX_ROWS = 1024
+_PACKED_MAX_PARENTS = 5
 
 CRITERIA = ("bic", "aic")
 TP_MODES = ("rank", "marginal")
@@ -188,20 +195,75 @@ def _node_ll(x: np.ndarray, v: int, parents: tuple[int, ...]) -> float:
     )
 
 
+# _TERM_ROWS[t][c1] is the log-likelihood term of a configuration seen in t
+# rows, c1 of them ones, by the same float64 expression as ``_node_ll``.  It
+# holds only values and grows only by rebinding to a longer list, so every
+# table in the process (in any thread) can share it.
+_TERM_ROWS: list[array] = []
+
+
+def _term_rows(m: int) -> list[array]:
+    """Term rows for every t <= m (m <= _PACKED_MAX_ROWS)."""
+    global _TERM_ROWS
+    rows = _TERM_ROWS
+    if len(rows) <= m:
+        rows = list(rows)
+        with np.errstate(divide="ignore", invalid="ignore"):  # row 0 is never read
+            for t in range(len(rows), m + 1):
+                c1 = np.arange(t + 1.0)
+                p = c1 / t
+                terms = c1 * np.log(np.maximum(p, LOG_EPS)) + (t - c1) * np.log(
+                    np.maximum(1.0 - p, LOG_EPS)
+                )
+                rows.append(array("d", terms.tobytes()))
+        _TERM_ROWS = rows
+    return rows
+
+
 class _ScoreTable:
-    """Caches per-node log-likelihood terms for one dataset."""
+    """Caches per-node log-likelihood terms for one dataset.
+
+    On up to _PACKED_MAX_ROWS rows, parent sets of up to _PACKED_MAX_PARENTS
+    parents are scored on the columns packed into Python int bitsets (bit i
+    is row i).  Each configuration's rows are the AND of each parent column
+    or its complement, built in ``_node_counts``' configuration order
+    (parent j is bit j), so its counts are two popcounts.  Its term is read
+    from ``_term_rows``, and numpy sums the terms of the nonempty
+    configurations in that order, as ``_node_ll`` does: every score is
+    bit-equal to ``_node_ll``'s, which scores everything else.
+    """
 
     def __init__(self, dataset: BinaryDataset):
         self.x = _data_matrix(dataset)
         self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
+        self._rows = None
+        if dataset.m <= _PACKED_MAX_ROWS:
+            self._rows = _term_rows(dataset.m)
+            packed = np.packbits(dataset.values, axis=0, bitorder="little")
+            self._ones = [int.from_bytes(col.tobytes(), "little") for col in packed.T]
+            self._all = (1 << dataset.m) - 1
+            self._zeros = [self._all ^ col for col in self._ones]
 
     def node_ll(self, v: int, parents: tuple[int, ...]) -> float:
         key = (v, parents)
         hit = self._cache.get(key)
         if hit is None:
-            hit = _node_ll(self.x, v, parents)
+            if self._rows is not None and len(parents) <= _PACKED_MAX_PARENTS:
+                hit = self._packed_ll(v, parents)
+            else:
+                hit = _node_ll(self.x, v, parents)
             self._cache[key] = hit
         return hit
+
+    def _packed_ll(self, v: int, parents: tuple[int, ...]) -> float:
+        configs = [self._all]
+        for p in parents:
+            off, on = self._zeros[p], self._ones[p]
+            # an empty configuration stays empty, and dropping it keeps the
+            # order of the rest
+            configs = [c for r in configs if (c := r & off)] + [c for r in configs if (c := r & on)]
+        child, rows = self._ones[v], self._rows
+        return float(np.add.reduce([rows[r.bit_count()][(r & child).bit_count()] for r in configs]))
 
 
 def log_likelihood(dataset: BinaryDataset, dag: Dag) -> float:
@@ -322,16 +384,20 @@ def _climb_once(
     buffer = rng.integers(0, n_cand, size=4096).tolist()
     buf_pos = 0
 
-    # Candidates rejected, or redrawn as cycle-closing, since the last
-    # accept.  The state and the cached scores do not change between
-    # accepts, so once this covers every candidate, every later proposal
-    # would be rejected too: the climb sits at a certified local optimum.
-    settled: set[int] = set()
+    # Candidates rejected, and candidates redrawn as cycle-closing, since the
+    # last accept.  The state and the cached scores do not change between
+    # accepts, so a repeat of either gets the same answer without the work:
+    # a rejected pick is rejected again, a cyclic pick is redrawn again.
+    # Once the two cover every candidate, every later proposal would be
+    # rejected too: the climb sits at a certified local optimum.
+    rejected: set[int] = set()
+    cyclic: set[int] = set()
+    settled = 0  # len(rejected) + len(cyclic)
     proposals = 0
     rejects_in_a_row = 0
     max_proposals = 100 * options.max_iterations
     while (
-        len(settled) < n_cand
+        settled < n_cand
         and rejects_in_a_row < options.max_iterations
         and proposals < max_proposals
     ):
@@ -343,11 +409,15 @@ def _climb_once(
                 buf_pos = 0
             pick = buffer[buf_pos]
             buf_pos += 1
-            u, v = candidates[pick]
-            adding = (u, v) not in current
-            if not adding or not _reaches(children, v, u):
+            if pick in rejected:
                 break
-            settled.add(pick)
+            if pick in cyclic:
+                continue
+            u, v = candidates[pick]
+            if (u, v) in current or not _reaches(children, v, u):
+                break
+            cyclic.add(pick)
+            settled += 1
         else:
             # never empty: an arc in ``current`` can always be removed, and
             # on the empty graph no addition closes a cycle
@@ -357,20 +427,24 @@ def _climb_once(
                 if (a, b) in current or not _reaches(children, b, a)
             ]
             pick = valid[rng.integers(0, len(valid))]
-            u, v = candidates[pick]
-            adding = (u, v) not in current
 
         proposals += 1
+        if pick in rejected:
+            rejects_in_a_row += 1
+            continue
+        u, v = candidates[pick]
+        adding = (u, v) not in current
         if adding:
             new_parents = tuple(sorted(parents[v] + (u,)))
         else:
             new_parents = tuple(p for p in parents[v] if p != u)
-        delta = w * (table.node_ll(v, new_parents) - node_ll[v]) - unit * (
+        new_ll = table.node_ll(v, new_parents)
+        delta = w * (new_ll - node_ll[v]) - unit * (
             _node_cost(len(new_parents), penalty) - _node_cost(len(parents[v]), penalty)
         )
         if delta > 0:
             parents[v] = new_parents
-            node_ll[v] = table.node_ll(v, new_parents)
+            node_ll[v] = new_ll
             if adding:
                 current.add((u, v))
                 children[u].add(v)
@@ -379,11 +453,14 @@ def _climb_once(
                 children[u].discard(v)
             score += delta
             rejects_in_a_row = 0
-            settled.clear()
+            rejected.clear()
+            cyclic.clear()
+            settled = 0
         else:
             rejects_in_a_row += 1
-            settled.add(pick)
-    if len(settled) == n_cand:
+            rejected.add(pick)
+            settled += 1
+    if settled == n_cand:
         stop = "optimum"
     elif rejects_in_a_row >= options.max_iterations:
         stop = "streak"
@@ -402,8 +479,13 @@ def hill_climb(dataset: BinaryDataset, allowed: EdgeSet, options: LearnOptions) 
     proposals, or as soon as every candidate arc has been rejected (or found
     to close a cycle) since the last accept.  That last stop is a certified
     local optimum: no later proposal could be accepted, so stopping there
-    returns exactly what the longer rejection streak would.  With restarts,
-    the best-scoring run wins (ties keep the earliest restart).
+    returns exactly what the longer rejection streak would.  For the same
+    reason a repeat of a pick rejected since the last accept counts as a
+    proposal and a rejection without being scored again, and a repeat of a
+    pick found to close a cycle is redrawn without another cycle check; the
+    draws, proposal count, stop and result are those of the full search.
+    With restarts, the best-scoring run wins (ties keep the earliest
+    restart).
     """
     if allowed.n != dataset.n:
         raise ValueError(f"candidate set has {allowed.n} nodes, dataset has {dataset.n}")

@@ -184,8 +184,9 @@ def _binary_csv(names, values, *extra_head: str) -> str:
     """Header row, any ``extra_head`` lines, then one 0/1 row per matrix row.
 
     A cell is written ``1`` iff it is nonzero.  Names that would not read
-    back as written (holding a comma or a line break, or padded with
-    whitespace) are rejected.
+    back as written (holding a comma or a line break, padded with
+    whitespace, or a lone empty name, whose header line is blank) are
+    rejected.
     """
     for col_no, name in enumerate(names, start=1):
         if "," in name or name != name.strip() or len(name.splitlines()) > 1:
@@ -193,6 +194,11 @@ def _binary_csv(names, values, *extra_head: str) -> str:
                 f"column {col_no}: name {name!r} has a comma, a line break or "
                 "surrounding whitespace and would not read back from CSV"
             )
+    if list(names) == [""]:
+        raise ValueError(
+            "column 1: name '' is the only name, so the header line would be "
+            "blank and would not read back from CSV"
+        )
     rows, n = values.shape
     # Row layout: cell, comma, cell, ..., cell, LF.  A 0-column row is a
     # bare LF, hence the width of at least 1.

@@ -11,7 +11,14 @@ import math
 import numpy as np
 
 from sbcn.datagen import FactorModelSpec, market_factor_spec, simulate_dataset
-from sbcn.learn import regularized_score
+from sbcn.learn import (
+    LOG_EPS,
+    _node_cost,
+    _node_counts,
+    _reaches,
+    _score_weights,
+    regularized_score,
+)
 from sbcn.model import BinaryDataset, Cpt, CsvFormatError, Dag, SbcnModel
 from sbcn.seeds import derive_seed
 
@@ -84,6 +91,118 @@ def direct_counts(values, v, parents):
         total[idx] += 1
         ones[idx] += int(row[v])
     return np.array(total, dtype=np.float64), np.array(ones, dtype=np.float64)
+
+
+def node_ll_oracle(x, v, parents):
+    """The bincount-kernel node log-likelihood, a verbatim copy of the
+    search's only scoring path before the packed-column kernel."""
+    total, ones = _node_counts(x, v, parents)
+    mask = total > 0
+    t = total[mask]
+    c1 = ones[mask]
+    p = c1 / t
+    return float(
+        np.sum(c1 * np.log(np.maximum(p, LOG_EPS)) + (t - c1) * np.log(np.maximum(1.0 - p, LOG_EPS)))
+    )
+
+
+class ScoreTableOracle:
+    """A score cache that scores every parent set with ``node_ll_oracle``."""
+
+    def __init__(self, dataset):
+        self.x = dataset.values.astype(np.float64, order="F")
+        self._cache = {}
+
+    def node_ll(self, v, parents):
+        key = (v, parents)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = node_ll_oracle(self.x, v, parents)
+            self._cache[key] = hit
+        return hit
+
+
+def climb_once_oracle(table, candidates, options, seed):
+    """Verbatim copy of the hill climb before the repeat skip: every repeat of
+    a rejected pick is proposed and scored again, every repeat of a
+    cycle-closing pick is checked by DFS again."""
+    m, n = table.x.shape
+    w, unit = _score_weights(options.criterion, m, options.aic_conventional)
+    penalty = options.penalty
+
+    parents = [() for _ in range(n)]
+    node_ll = [table.node_ll(v, ()) for v in range(n)]
+    children = [set() for _ in range(n)]
+    current = set()
+    score = w * sum(node_ll) - unit * n * _node_cost(0, penalty)
+    if not candidates:
+        return frozenset(), score, "optimum", 0
+
+    rng = np.random.default_rng(seed)
+    n_cand = len(candidates)
+    buffer = rng.integers(0, n_cand, size=4096).tolist()
+    buf_pos = 0
+
+    settled = set()
+    proposals = 0
+    rejects_in_a_row = 0
+    max_proposals = 100 * options.max_iterations
+    while (
+        len(settled) < n_cand
+        and rejects_in_a_row < options.max_iterations
+        and proposals < max_proposals
+    ):
+        for _ in range(8 * n_cand):
+            if buf_pos == len(buffer):
+                buffer = rng.integers(0, n_cand, size=4096).tolist()
+                buf_pos = 0
+            pick = buffer[buf_pos]
+            buf_pos += 1
+            u, v = candidates[pick]
+            adding = (u, v) not in current
+            if not adding or not _reaches(children, v, u):
+                break
+            settled.add(pick)
+        else:
+            valid = [
+                i
+                for i, (a, b) in enumerate(candidates)
+                if (a, b) in current or not _reaches(children, b, a)
+            ]
+            pick = valid[rng.integers(0, len(valid))]
+            u, v = candidates[pick]
+            adding = (u, v) not in current
+
+        proposals += 1
+        if adding:
+            new_parents = tuple(sorted(parents[v] + (u,)))
+        else:
+            new_parents = tuple(p for p in parents[v] if p != u)
+        delta = w * (table.node_ll(v, new_parents) - node_ll[v]) - unit * (
+            _node_cost(len(new_parents), penalty) - _node_cost(len(parents[v]), penalty)
+        )
+        if delta > 0:
+            parents[v] = new_parents
+            node_ll[v] = table.node_ll(v, new_parents)
+            if adding:
+                current.add((u, v))
+                children[u].add(v)
+            else:
+                current.discard((u, v))
+                children[u].discard(v)
+            score += delta
+            rejects_in_a_row = 0
+            settled.clear()
+        else:
+            rejects_in_a_row += 1
+            settled.add(pick)
+    if len(settled) == n_cand:
+        stop = "optimum"
+    elif rejects_in_a_row >= options.max_iterations:
+        stop = "streak"
+    else:
+        stop = "cap"
+    return frozenset(current), score, stop, proposals
 
 
 def rows_csv_oracle(header_lines, values):

@@ -109,6 +109,19 @@ class TestInfer:
                  "--out-model", "m.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value, choices", [
+        ("--learner", "pc", "'sbcn', 'bn'"),
+        ("--criterion", "mdl", "'bic', 'aic'"),
+        ("--penalty", "edges", "'arcs', 'parameters'"),
+    ])
+    def test_unknown_choice_usage_error(self, capsys, flag, value, choices):
+        with pytest.raises(SystemExit) as exc:
+            run(["infer", "--data", "x.csv", flag, value, "--out-model", "m.json"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid choice: '{value}' (choose from {choices})" in (
+            capsys.readouterr().err
+        )
+
     def test_bad_data_file(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n0,2\n")

@@ -94,6 +94,14 @@ class TestSweepConfig:
         with pytest.raises(ModelSchemaError, match="learner"):
             tiny_config(learners=["pc"])
 
+    def test_unknown_penalty(self):
+        with pytest.raises(ModelSchemaError, match="unknown penalty 'edges'"):
+            tiny_config(penalty="edges")
+
+    def test_unknown_criterion(self):
+        with pytest.raises(ModelSchemaError, match="unknown criterion 'mdl'"):
+            tiny_config(criteria=["mdl"])
+
     def test_unknown_generator_mode(self):
         with pytest.raises(ModelSchemaError, match="generator.mode"):
             tiny_config(generator={"mode": "garch"})

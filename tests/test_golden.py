@@ -10,6 +10,7 @@ and say so in CHANGES.md).
 
 import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -106,6 +107,53 @@ def test_learned_model_digest(datasets, case):
 def test_bootstrap_report_digest(datasets):
     report = edge_confidence(datasets["ff400"], LearnOptions(seed=3), replicates=4)
     assert sha256(report.to_json()) == BOOTSTRAP_GOLDEN
+
+
+# Learns on either side of the packed score kernel's row cap (1024 rows),
+# `learn_sbcn` on both data sets and `learn_bn` on famafrench, seed 3, bic.
+CROSSOVER_GOLDEN = {
+    "ff64-sbcn-arcs": "ce8bd67ebaa07b36f0ba7a71f2537a833e4da5e81c42cd5d76f2348d86dff123",
+    "ff64-sbcn-parameters": "76fec186e425e54b9587575e66cbe76eb5eccfecde4ff91c120af321c19b1d9f",
+    "ff64-bn-arcs": "a67c96295004874ab37d5cdff51227562df3655e3dc76ff7ffc206aaa0003137",
+    "ff64-bn-parameters": "8b3fedd39b7d99317e45cb4d908eaa79befc0aacf9cb889b1ceb3cb1e33ff289",
+    "ff1000-sbcn-arcs": "e6962f46b1436cbd475a8f6942a6af6927c06f61b044ae1c8c50ca29115464d0",
+    "ff1000-sbcn-parameters": "6f1df797e0c5b6fbe158073740b58b0979908e2ae150a9b08d2a571a7782c319",
+    "ff1000-bn-arcs": "834d79862893c88b5e977062c0187338c1597e5f0a0ae3ad4aa158390f2e8d3a",
+    "ff1000-bn-parameters": "00453f0de6d1ddf42b6e657100bdd0a211f6631fc49652f595d8350a32e3b580",
+    "ff1024-sbcn-arcs": "0eabd03ca54731646f71692eb13e3ba34add2517d6034668c3dda222f2820a0d",
+    "ff1024-sbcn-parameters": "f904819d22a75bb7eba598f5e42ca7e38f7cd678578c50a5dac39c93c909a25c",
+    "ff1024-bn-arcs": "57baa0df7de0e2293a974777760a30e183682fdfdefa1f36a40ab064d49e9d82",
+    "ff1024-bn-parameters": "24efeaa77924ce928f17643846a8d75244c3319d6ac3c0f24fb5ae114ff3cd41",
+    "ff1025-sbcn-arcs": "c99e79897131c0180f99b7b423c8d4acee8cd9c98d57554f43dd0761b7d7ea52",
+    "ff1025-sbcn-parameters": "cfb2b09bc1a11d324194b44d84004d97988ce835746b1f6d9696f20e75ca4f0c",
+    "ff1025-bn-arcs": "3d506d2ae734bb79bd3dfee342287930d819aec27e2ae77914db26c27cd525a4",
+    "ff1025-bn-parameters": "e48d84c2a5c6965613715e77ecaf966d09fc32620993b1900efb2aee514277d0",
+    "sparse64-sbcn-arcs": "8224678bff574f8a9680de9cf9eadbd4de1f74eaa257194118dac8afbafc4b22",
+    "sparse64-sbcn-parameters": "5596d655019c9bb2a97f074a84d51bc949537537e7b9f18d5a2e8c150db75141",
+    "sparse1000-sbcn-arcs": "3c0322916ebf3c1a3e6ec64473d5da60b69e4408b272fc827103748bddc61886",
+    "sparse1000-sbcn-parameters": "5e77879ea50d80b0c032da9a8496b4f5d5cca0c08f3ad6aedca2ce5175da64b6",
+    "sparse1024-sbcn-arcs": "ab74b34e52ce41c0faab525cf8f9ed61ed7643f0de0e2620eab26d084b06e719",
+    "sparse1024-sbcn-parameters": "5b327bcfa5576dc5f5c2d5781398d6ae125f808772c33915655f4aea9b734699",
+    "sparse1025-sbcn-arcs": "cce6c32857307dde2eff37b73bd075c3b4e4ccd263ccb67050f19a7ad1475c7d",
+    "sparse1025-sbcn-parameters": "a1876af9ec8427408333c71a4ba60c384b2689bc9c0ba736e11be597d3b3f77b",
+}
+
+PARAMETERS_BOOTSTRAP_GOLDEN = "590197440118e9c96567c4afe70d3ced654157b59e14f17a07673901b7daed44"
+
+
+@pytest.mark.parametrize("case", sorted(CROSSOVER_GOLDEN))
+def test_crossover_model_digest(case):
+    name, learner, penalty = case.split("-")
+    source, m = re.fullmatch(r"(ff|sparse)(\d+)", name).groups()
+    data = famafrench(int(m)) if source == "ff" else sparse_random_instance(T=int(m), seed=5)[2]
+    model = LEARNERS[learner](data, LearnOptions(penalty=penalty, seed=3))
+    assert sha256(model.to_json()) == CROSSOVER_GOLDEN[case]
+
+
+def test_parameters_bootstrap_report_digest(datasets):
+    options = LearnOptions(seed=3, penalty="parameters")
+    report = edge_confidence(datasets["sparse250"], options, replicates=4)
+    assert sha256(report.to_json()) == PARAMETERS_BOOTSTRAP_GOLDEN
 
 
 # CLI artifacts at fixed seeds: every file the subcommands write, in the

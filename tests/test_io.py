@@ -199,6 +199,18 @@ class TestCsvNames:
         with pytest.raises(ValueError, match=f"column {column}: name"):
             scenarios_to_csv(np.zeros((1, 2), dtype=np.uint8), names)
 
+    def test_writer_rejects_a_lone_empty_name(self):
+        # its header line would be blank, and the reader skips blank lines
+        ds = BinaryDataset([[0], [1]], [""], [2])
+        with pytest.raises(ValueError, match="column 1: name ''"):
+            ds.to_csv()
+        with pytest.raises(ValueError, match="column 1: name ''"):
+            scenarios_to_csv(np.zeros((1, 1), dtype=np.uint8), [""])
+
+    def test_empty_name_beside_others_round_trips(self):
+        ds = BinaryDataset([[0, 1]], ["", "b"], [0, 1])
+        assert BinaryDataset.from_csv(ds.to_csv()) == ds
+
     def test_inner_space_round_trips(self):
         ds = BinaryDataset([[0, 1]], ["a b", "é"], [0, 1])
         assert BinaryDataset.from_csv(ds.to_csv()) == ds

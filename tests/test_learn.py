@@ -1,20 +1,27 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sbcn.learn
 from oracles import (
+    ScoreTableOracle,
     all_dags,
+    climb_once_oracle,
     direct_counts,
     exhaustive_best_score,
     famafrench,
     make_dataset as dataset,
+    node_ll_oracle,
     prima_facie_oracle,
     tiny_linear_dataset,
 )
 from sbcn.learn import (
+    CRITERIA,
+    PENALTIES,
     EdgeSet,
     EmptyStratumError,
     LearnOptions,
@@ -28,7 +35,14 @@ from sbcn.learn import (
     prima_facie_edges,
     regularized_score,
 )
-from sbcn.learn import _climb_once, _data_matrix, _node_counts, _ScoreTable
+from sbcn.learn import (
+    _PACKED_MAX_PARENTS,
+    _PACKED_MAX_ROWS,
+    _climb_once,
+    _data_matrix,
+    _node_counts,
+    _ScoreTable,
+)
 from sbcn.model import BinaryDataset, Dag, has_cycle
 
 
@@ -371,6 +385,113 @@ class TestCountKernel:
             assert total.dtype == ones.dtype == np.float64
             assert np.array_equal(total, want_total)
             assert np.array_equal(ones, want_ones)
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+# Column marginals: the two ends give constant columns, whose complement
+# leaves half of any configuration table unobserved.
+MARGINALS = st.sampled_from([0.0, 0.03, 0.3, 0.5, 0.9, 1.0])
+
+
+class TestPackedKernel:
+    """Every score equals the bincount kernel's bit for bit, on either side of
+    the row cap and of the parent-count crossover."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.sampled_from([1, 2, 63, 64, 65, 250, _PACKED_MAX_ROWS, _PACKED_MAX_ROWS + 1]),
+        q=st.integers(0, _PACKED_MAX_PARENTS + 2),
+        marginals=st.lists(MARGINALS, min_size=_PACKED_MAX_PARENTS + 4, max_size=_PACKED_MAX_PARENTS + 4),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_node_ll_bit_equal(self, m, q, marginals, seed, data):
+        rng = np.random.default_rng(seed)
+        values = (rng.random((m, len(marginals))) < marginals).astype(np.uint8)
+        ds = dataset(values)
+        v = data.draw(st.integers(0, ds.n - 1))
+        others = [c for c in range(ds.n) if c != v]
+        parents = tuple(data.draw(st.permutations(others))[:q])
+        table = _ScoreTable(ds)
+        want = node_ll_oracle(_data_matrix(ds), v, parents)
+        assert float_bits(table.node_ll(v, parents)) == float_bits(want)
+        assert float_bits(table.node_ll(v, tuple(sorted(parents)))) == float_bits(
+            node_ll_oracle(_data_matrix(ds), v, tuple(sorted(parents)))
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.sampled_from([1, 64, 250, _PACKED_MAX_ROWS, _PACKED_MAX_ROWS + 1]),
+        marginals=st.lists(MARGINALS, min_size=2, max_size=9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_log_likelihood_bit_equal(self, m, marginals, seed):
+        rng = np.random.default_rng(seed)
+        ds = dataset((rng.random((m, len(marginals))) < marginals).astype(np.uint8))
+        n = ds.n
+        dag = Dag(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+        x = _data_matrix(ds)
+        want = sum(node_ll_oracle(x, v, dag.parents(v)) for v in range(n))
+        assert float_bits(log_likelihood(ds, dag)) == float_bits(want)
+
+    def test_term_rows_grow_to_exact_terms(self, monkeypatch):
+        monkeypatch.setattr(sbcn.learn, "_TERM_ROWS", [])
+        for m in (1, 2, 5):  # grow from empty, by one row, then by several
+            rows = sbcn.learn._term_rows(m)
+            assert len(rows) == m + 1
+        for t in range(1, 6):
+            for c1 in range(t + 1):
+                column = dataset([[1]] * c1 + [[0]] * (t - c1))
+                want = node_ll_oracle(_data_matrix(column), 0, ())
+                assert float_bits(rows[t][c1]) == float_bits(want)
+
+    def test_term_rows_stay_within_the_row_cap(self):
+        for m in (5, _PACKED_MAX_ROWS, _PACKED_MAX_ROWS + 1):
+            _ScoreTable(dataset(np.ones((m, 2), dtype=int))).node_ll(0, (1,))
+        assert len(sbcn.learn._TERM_ROWS) == _PACKED_MAX_ROWS + 1
+
+
+class TestClimbOracle:
+    """The climb that skips repeats returns exactly what the climb that
+    re-proposes them returns: same arcs, score bits, stop and proposal count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.sampled_from([8, 40, 250]),
+        n=st.integers(2, 7),
+        arc_share=st.floats(0.1, 1.0),
+        max_iterations=st.sampled_from([1, 5, 2000]),
+        criterion=st.sampled_from(CRITERIA),
+        penalty=st.sampled_from(PENALTIES),
+        aic_conventional=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_oracle(self, m, n, arc_share, max_iterations, criterion, penalty,
+                           aic_conventional, seed):
+        rng = np.random.default_rng(seed)
+        # each column copies an earlier one with noise, so arcs pay off
+        values = rng.integers(0, 2, size=(m, n))
+        for j in range(1, n):
+            src = values[:, rng.integers(0, j)]
+            values[:, j] = np.where(rng.random(m) < 0.2, 1 - src, src)
+        ds = dataset(values)
+        # both directions of a pair may be candidates, so some picks close cycles
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        candidates = [e for e in pairs if rng.random() < arc_share]
+        options = LearnOptions(
+            criterion=criterion,
+            penalty=penalty,
+            aic_conventional=aic_conventional,
+            max_iterations=max_iterations,
+        )
+        got = _climb_once(_ScoreTable(ds), candidates, options, seed)
+        want = climb_once_oracle(ScoreTableOracle(ds), candidates, options, seed)
+        assert got[0] == want[0]
+        assert float_bits(got[1]) == float_bits(want[1])
+        assert got[2:] == want[2:]
 
 
 class TestStopReason:
