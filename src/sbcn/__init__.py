@@ -16,6 +16,7 @@ from .classifier import (
     Portfolio,
     Split,
     implied_up_cut,
+    label_measure,
     label_scenarios,
     learn_tree,
     predict,

@@ -67,25 +67,34 @@ def up_counts(scenarios: np.ndarray, portfolio: Portfolio) -> np.ndarray:
     return scenarios[:, list(portfolio.stock_indices)].astype(np.float64) @ portfolio.weights
 
 
-def label_scenarios(
-    scenarios: np.ndarray, portfolio: Portfolio, risky_fraction: float = 0.10
-) -> np.ndarray:
-    """Boolean labels, True = risky, for the bottom quantile by up measure.
+def label_measure(
+    measure: np.ndarray, risky_fraction: float = 0.10
+) -> tuple[np.ndarray, float | None]:
+    """Risky labels and the cut for precomputed up measures.
 
     The ceil(risky_fraction * N) scenarios with the smallest up measure are
-    risky; every scenario tied with the cut value is included.
+    risky, and so is every scenario tied with the cut value, the largest
+    measure among the risky ones.  Returns ``(labels, cut)``; the cut is
+    None when no scenario is risky.
     """
     if not 0.0 <= risky_fraction <= 1.0:
         raise ValueError("risky_fraction must lie in [0, 1]")
-    measure = up_counts(scenarios, portfolio)
     count = measure.shape[0]
     if count < 1:
         raise ValueError("need at least one scenario to label")
     k = math.ceil(risky_fraction * count)
     if k == 0:
-        return np.zeros(count, dtype=bool)
-    cut = np.sort(measure)[k - 1]
-    return measure <= cut
+        return np.zeros(count, dtype=bool), None
+    cut = np.partition(measure, k - 1)[k - 1]
+    return measure <= cut, float(cut)
+
+
+def label_scenarios(
+    scenarios: np.ndarray, portfolio: Portfolio, risky_fraction: float = 0.10
+) -> np.ndarray:
+    """Boolean labels, True = risky, for the bottom quantile by up measure
+    (see :func:`label_measure`)."""
+    return label_measure(up_counts(scenarios, portfolio), risky_fraction)[0]
 
 
 def implied_up_cut(
@@ -93,13 +102,7 @@ def implied_up_cut(
 ) -> float | None:
     """The up-measure value at the risky/profitable boundary (None if no
     scenario is labeled risky)."""
-    if not 0.0 <= risky_fraction <= 1.0:
-        raise ValueError("risky_fraction must lie in [0, 1]")
-    measure = up_counts(scenarios, portfolio)
-    k = math.ceil(risky_fraction * measure.shape[0])
-    if k == 0:
-        return None
-    return float(np.sort(measure)[k - 1])
+    return label_measure(up_counts(scenarios, portfolio), risky_fraction)[1]
 
 
 @dataclass(frozen=True)
@@ -187,9 +190,7 @@ def _gini(n_profitable: float, n_risky: float) -> float:
     return 2.0 * p * (1.0 - p)
 
 
-def _majority_leaf(labels: np.ndarray) -> Leaf:
-    n_risky = int(labels.sum())
-    n_prof = int(labels.shape[0] - n_risky)
+def _majority_leaf(n_prof: int, n_risky: int) -> Leaf:
     # ties go to the non-stress label
     return Leaf(RISKY if n_risky > n_prof else PROFITABLE, (n_prof, n_risky))
 
@@ -205,10 +206,9 @@ def learn_tree(
     labels: np.ndarray,
     max_depth: int | None = None,
     min_leaf: int = 5,
-    impurity: str = "gini",
     min_gain: float | None = None,
 ) -> DecisionTree:
-    """Greedy binary CART on 0/1 factor features.
+    """Greedy binary CART on 0/1 factor features (nonzero reads as 1).
 
     At each node the split with the largest Gini impurity decrease wins
     (ties to the lowest feature index); growth stops on purity, depth,
@@ -217,9 +217,12 @@ def learn_tree(
     rows, the magnitude a best-of-noise split reaches by chance; pass
     ``min_gain`` (0 allows any improvement) to override.  Leaves carry the
     majority label with ties resolved to profitable.
+
+    The tree is grown on the distinct (feature pattern, label) rows, each
+    weighted by how often it occurs.  Every row count the tree uses is the
+    same integer as a count over the full rows, so the splits, the tie-breaks
+    and the leaf counts are those of growing on every row.
     """
-    if impurity != "gini":
-        raise ValueError(f"only gini impurity is supported, got {impurity!r}")
     features = np.asarray(features)
     labels = np.asarray(labels).astype(bool)
     if features.ndim != 2:
@@ -231,36 +234,74 @@ def learn_tree(
     n_features = features.shape[1]
     if max_depth is None:
         max_depth = n_features
+    patterns, risky, counts = _distinct_rows(features.astype(bool), labels)
     root = _grow(
-        features.astype(bool), labels, frozenset(range(n_features)), max_depth, min_leaf, min_gain
+        patterns, risky, counts, frozenset(range(n_features)), max_depth, min_leaf, min_gain
     )
     return DecisionTree(root)
+
+
+def _distinct_rows(features: np.ndarray, labels: np.ndarray):
+    """The distinct (feature pattern, label) rows of a bool matrix and the
+    int64 count of each.
+
+    Each row is packed into an int64 code, the label at bit 0 and feature f
+    above it, and the codes are grouped by one ``np.unique``.  A code holds
+    63 bits, so wider rows are re-densified on the way: once the code is
+    full, it is replaced by its rank among the distinct codes so far, and the
+    ranks' values are kept to decode the distinct rows afterwards.
+    """
+    n_features = features.shape[1]
+    code = labels.astype(np.int64)
+    stages = [(None, 1, 0)]  # (prefix values, prefix bits, first column) per code
+    width = 1
+    for f in range(n_features):
+        if width == 63:
+            prefix, inverse = np.unique(code, return_inverse=True)
+            code = inverse.astype(np.int64)
+            width = (len(prefix) - 1).bit_length()
+            stages.append((prefix, width, f))
+        code |= np.left_shift(features[:, f], width, dtype=np.int64)
+        width += 1
+    code, counts = np.unique(code, return_counts=True)
+    patterns = np.empty((len(code), n_features), dtype=bool)
+    stop = n_features
+    for prefix, bits, start in reversed(stages):
+        for f in range(start, stop):
+            patterns[:, f] = (code >> (bits + f - start)) & 1
+        code = code & ((1 << bits) - 1)
+        if prefix is not None:
+            code = prefix[code]
+        stop = start
+    return patterns, code.astype(bool), counts
 
 
 def _grow(
     features: np.ndarray,
     labels: np.ndarray,
+    counts: np.ndarray,
     usable: frozenset[int],
     depth_left: int,
     min_leaf: int,
     min_gain: float | None,
 ) -> Union[Split, Leaf]:
-    total = labels.shape[0]
-    n_risky = int(labels.sum())
+    total = int(counts.sum())
+    n_risky = int(counts[labels].sum())
     if n_risky in (0, total) or depth_left == 0 or not usable or total < 2 * min_leaf:
-        return _majority_leaf(labels)
+        return _majority_leaf(total - n_risky, n_risky)
 
     parent_impurity = _gini(total - n_risky, n_risky)
     floor = min_gain if min_gain is not None else NOISE_FLOOR_CHI2 * parent_impurity / total
     best_gain = floor
     best_feature = -1
+    rights = counts @ features  # rows with each feature at 1
+    risky_rights = counts[labels] @ features[labels]
     for f in sorted(usable):
-        right_mask = features[:, f]
-        n_right = int(right_mask.sum())
+        n_right = int(rights[f])
         n_left = total - n_right
         if n_left < min_leaf or n_right < min_leaf:
             continue
-        risky_right = int(labels[right_mask].sum())
+        risky_right = int(risky_rights[f])
         risky_left = n_risky - risky_right
         weighted = (
             n_left * _gini(n_left - risky_left, risky_left)
@@ -271,14 +312,16 @@ def _grow(
             best_gain = gain
             best_feature = f
     if best_feature < 0:
-        return _majority_leaf(labels)
+        return _majority_leaf(total - n_risky, n_risky)
 
     mask = features[:, best_feature]
     remaining = usable - {best_feature}
     return Split(
         best_feature,
-        _grow(features[~mask], labels[~mask], remaining, depth_left - 1, min_leaf, min_gain),
-        _grow(features[mask], labels[mask], remaining, depth_left - 1, min_leaf, min_gain),
+        _grow(features[~mask], labels[~mask], counts[~mask], remaining, depth_left - 1,
+              min_leaf, min_gain),
+        _grow(features[mask], labels[mask], counts[mask], remaining, depth_left - 1,
+              min_leaf, min_gain),
     )
 
 

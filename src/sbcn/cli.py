@@ -16,10 +16,10 @@ from .bootstrap import edge_confidence, prune
 from .classifier import (
     DecisionTree,
     Portfolio,
-    implied_up_cut,
-    label_scenarios,
+    label_measure,
     learn_tree,
     risky_paths,
+    up_counts,
 )
 from .datagen import (
     ground_truth_dag,
@@ -170,9 +170,7 @@ def _cmd_stress(args) -> int:
         if not stocks:
             raise ValueError("model has no later-ranked stock variables to build a portfolio on")
         scenarios = ancestral_sample(model, args.samples_for_tree, derive_seed(args.seed, 0))
-        portfolio = Portfolio(stocks)
-        labels = label_scenarios(scenarios, portfolio, args.risky_fraction)
-        cut = implied_up_cut(scenarios, portfolio, args.risky_fraction)
+        labels, cut = label_measure(up_counts(scenarios, Portfolio(stocks)), args.risky_fraction)
         _log(
             f"labeled {int(labels.sum())}/{len(labels)} scenarios risky "
             f"(up-count cut {'n/a' if cut is None else float_repr(cut)})"

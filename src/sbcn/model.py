@@ -118,6 +118,11 @@ class BinaryDataset:
         return self.values[:, i]
 
     def to_csv(self) -> str:
+        if self.n == 0:
+            raise ValueError(
+                "a dataset with no columns cannot be written to CSV: its header "
+                "line would be blank and would not read back"
+            )
         rank = "#rank:" + ",".join(str(r) for r in self.rank)
         return _binary_csv(self.names, self.values, rank)
 
@@ -130,6 +135,10 @@ class BinaryDataset:
             lines, values = canonical
         if not lines:
             raise CsvFormatError("empty CSV: expected a header row of variable names")
+        if lines[0].startswith("#rank:"):
+            raise CsvFormatError(
+                "row 1: missing header row of variable names (found a #rank: line)"
+            )
         names = [s.strip() for s in lines[0].split(",")]
         n = len(names)
         seen: dict[str, int] = {}
@@ -185,8 +194,8 @@ def _binary_csv(names, values, *extra_head: str) -> str:
 
     A cell is written ``1`` iff it is nonzero.  Names that would not read
     back as written (holding a comma or a line break, padded with
-    whitespace, or a lone empty name, whose header line is blank) are
-    rejected.
+    whitespace, a first name starting with ``#rank:``, or a lone empty
+    name, whose header line is blank) are rejected.
     """
     for col_no, name in enumerate(names, start=1):
         if "," in name or name != name.strip() or len(name.splitlines()) > 1:
@@ -194,6 +203,11 @@ def _binary_csv(names, values, *extra_head: str) -> str:
                 f"column {col_no}: name {name!r} has a comma, a line break or "
                 "surrounding whitespace and would not read back from CSV"
             )
+    if names and names[0].startswith("#rank:"):
+        raise ValueError(
+            f"column 1: name {names[0]!r} starts with '#rank:', so the header "
+            "line would read back as a rank line"
+        )
     if list(names) == [""]:
         raise ValueError(
             "column 1: name '' is the only name, so the header line would be "

@@ -36,28 +36,44 @@ def topological_order(dag) -> list[int]:
     return order
 
 
+# Rows drawn per block.  PCG64 spends one 64-bit output per float64, so the
+# blocks' uniforms are exactly the rows of one (count, n) draw, cell for cell;
+# a block holds 8 * n * _BLOCK_ROWS bytes of uniforms (1 MB at n = 15).
+_BLOCK_ROWS = 8192
+
+
 def ancestral_sample(model: SbcnModel, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` scenarios, one per row, as a (count, n) 0/1 matrix.
 
     Nodes are visited in topological order; each node's value is Bernoulli
-    with the CPT probability for its already-sampled parent configuration.
+    with the CPT probability for its already-sampled parent configuration:
+    cell (r, v) is 1 exactly when uniform (r, v) of ``rng.random((count, n))``
+    lies below that probability.  The uniforms are drawn _BLOCK_ROWS rows at
+    a time, which yields the same values in the same cells, so the result is
+    that of one full draw while memory stays bounded by the block.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     n = model.n
     rng = np.random.default_rng(seed)
-    uniforms = rng.random((count, n))
-    out = np.zeros((count, n), dtype=np.uint8)
-    for v in topological_order(model.dag):
-        cpt = model.cpt(v)
-        if cpt.parents:
-            idx = out[:, list(cpt.parents)].astype(np.int64) @ (
-                1 << np.arange(len(cpt.parents), dtype=np.int64)
-            )
-            p = cpt.table[idx]
-        else:
-            p = cpt.table[0]
-        out[:, v] = uniforms[:, v] < p
+    cpts = [model.cpt(v) for v in topological_order(model.dag)]
+    out = np.empty((count, n), dtype=np.uint8)
+    bits = np.empty((n, min(count, _BLOCK_ROWS)), dtype=np.uint8)  # node-major block
+    for start in range(0, count, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, count - start)
+        uniforms = rng.random((rows, n))
+        block = bits[:, :rows]
+        configs: dict[tuple[int, ...], np.ndarray] = {}  # parent set -> index
+        for cpt in cpts:
+            idx = configs.get(cpt.parents)
+            if idx is None:
+                # parent j is bit j, the layout of Cpt.table
+                idx = np.zeros(rows, dtype=np.intp)
+                for j, p in enumerate(cpt.parents):
+                    idx |= np.left_shift(block[p], j, dtype=np.intp)
+                configs[cpt.parents] = idx
+            np.less(uniforms[:, cpt.node], cpt.table[idx], out=block[cpt.node])
+        out[start : start + rows] = block.T
     return out
 
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from sbcn.classifier import NOISE_FLOOR_CHI2, PROFITABLE, RISKY, DecisionTree, Leaf, Split
 from sbcn.datagen import FactorModelSpec, market_factor_spec, simulate_dataset
 from sbcn.learn import (
     LOG_EPS,
@@ -20,6 +21,7 @@ from sbcn.learn import (
     regularized_score,
 )
 from sbcn.model import BinaryDataset, Cpt, CsvFormatError, Dag, SbcnModel
+from sbcn.sampling import topological_order
 from sbcn.seeds import derive_seed
 
 
@@ -253,6 +255,103 @@ def dataset_csv_oracle(text):
     if not rows:
         raise CsvFormatError("CSV has a header but no observation rows")
     return BinaryDataset(np.array(rows, dtype=np.uint8), names, rank)
+
+
+def ancestral_sample_oracle(model, count, seed):
+    """Verbatim copy of the sampler before row blocks: one (count, n) uniform
+    draw, then one int64 matmul per node over the whole matrix."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    n = model.n
+    rng = np.random.default_rng(seed)
+    uniforms = rng.random((count, n))
+    out = np.zeros((count, n), dtype=np.uint8)
+    for v in topological_order(model.dag):
+        cpt = model.cpt(v)
+        if cpt.parents:
+            idx = out[:, list(cpt.parents)].astype(np.int64) @ (
+                1 << np.arange(len(cpt.parents), dtype=np.int64)
+            )
+            p = cpt.table[idx]
+        else:
+            p = cpt.table[0]
+        out[:, v] = uniforms[:, v] < p
+    return out
+
+
+def _gini_oracle(n_profitable, n_risky):
+    total = n_profitable + n_risky
+    if total == 0:
+        return 0.0
+    p = n_risky / total
+    return 2.0 * p * (1.0 - p)
+
+
+def _majority_leaf_oracle(labels):
+    n_risky = int(labels.sum())
+    n_prof = int(labels.shape[0] - n_risky)
+    # ties go to the non-stress label
+    return Leaf(RISKY if n_risky > n_prof else PROFITABLE, (n_prof, n_risky))
+
+
+def learn_tree_oracle(features, labels, max_depth=None, min_leaf=5, impurity="gini", min_gain=None):
+    """Verbatim copy of the tree learner before it grew on distinct rows: every
+    node masks and counts the full rows that reach it."""
+    if impurity != "gini":
+        raise ValueError(f"only gini impurity is supported, got {impurity!r}")
+    features = np.asarray(features)
+    labels = np.asarray(labels).astype(bool)
+    if features.ndim != 2:
+        raise ValueError("features must be a matrix, one row per scenario")
+    if labels.shape != (features.shape[0],):
+        raise ValueError("one label per feature row required")
+    if min_leaf < 1:
+        raise ValueError("min_leaf must be >= 1")
+    n_features = features.shape[1]
+    if max_depth is None:
+        max_depth = n_features
+    root = _grow_oracle(
+        features.astype(bool), labels, frozenset(range(n_features)), max_depth, min_leaf, min_gain
+    )
+    return DecisionTree(root)
+
+
+def _grow_oracle(features, labels, usable, depth_left, min_leaf, min_gain):
+    total = labels.shape[0]
+    n_risky = int(labels.sum())
+    if n_risky in (0, total) or depth_left == 0 or not usable or total < 2 * min_leaf:
+        return _majority_leaf_oracle(labels)
+
+    parent_impurity = _gini_oracle(total - n_risky, n_risky)
+    floor = min_gain if min_gain is not None else NOISE_FLOOR_CHI2 * parent_impurity / total
+    best_gain = floor
+    best_feature = -1
+    for f in sorted(usable):
+        right_mask = features[:, f]
+        n_right = int(right_mask.sum())
+        n_left = total - n_right
+        if n_left < min_leaf or n_right < min_leaf:
+            continue
+        risky_right = int(labels[right_mask].sum())
+        risky_left = n_risky - risky_right
+        weighted = (
+            n_left * _gini_oracle(n_left - risky_left, risky_left)
+            + n_right * _gini_oracle(n_right - risky_right, risky_right)
+        ) / total
+        gain = parent_impurity - weighted
+        if gain > best_gain + 1e-15:
+            best_gain = gain
+            best_feature = f
+    if best_feature < 0:
+        return _majority_leaf_oracle(labels)
+
+    mask = features[:, best_feature]
+    remaining = usable - {best_feature}
+    return Split(
+        best_feature,
+        _grow_oracle(features[~mask], labels[~mask], remaining, depth_left - 1, min_leaf, min_gain),
+        _grow_oracle(features[mask], labels[mask], remaining, depth_left - 1, min_leaf, min_gain),
+    )
 
 
 def all_dags(n):

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import learn_tree_oracle
 
 from sbcn.classifier import (
     PROFITABLE,
@@ -9,6 +13,7 @@ from sbcn.classifier import (
     Portfolio,
     Split,
     implied_up_cut,
+    label_measure,
     label_scenarios,
     learn_tree,
     predict,
@@ -185,9 +190,82 @@ class TestLearnTree:
             assert predict(tree, dict(enumerate(features[i]))) == expected
 
     def test_impurity_gate(self):
-        with pytest.raises(ValueError):
-            learn_tree(np.zeros((5, 2), dtype=np.uint8), np.zeros(5, dtype=bool), impurity="entropy")
+        # Gini is the only impurity; the keyword that named it is gone
+        for impurity in ("gini", "entropy"):
+            with pytest.raises(TypeError, match="impurity"):
+                learn_tree(np.zeros((5, 2), dtype=np.uint8), np.zeros(5, dtype=bool), impurity=impurity)
 
+
+
+@st.composite
+def tree_inputs(draw):
+    """Feature matrices of 0 to 130 columns whose rows repeat a few patterns
+    or are all drawn afresh, with 0/1, small-integer or float cells, and
+    labels that follow feature 0 with some noise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = draw(st.integers(0, 300))
+    k = draw(st.sampled_from([0, 1, 2, 5, 8, 20, 62, 63, 64, 100, 130]))
+    pool = draw(st.sampled_from([1, 3, 8, None]))
+    if pool is None:
+        features = rng.integers(0, 2, size=(rows, k))
+    else:
+        features = rng.integers(0, 2, size=(pool, k))[rng.integers(0, pool, size=rows)]
+    cells = draw(st.sampled_from(["01", "ints", "floats"]))
+    if cells == "ints":
+        features = features * rng.integers(-2, 4, size=features.shape)
+    elif cells == "floats":
+        features = features * rng.choice([0.5, -1.0, 2.0, np.nan], size=features.shape)
+    else:
+        features = features.astype(draw(st.sampled_from([np.uint8, np.int64, bool])))
+    noise = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    lead = (features[:, 0] != 0) if k else np.zeros(rows, dtype=bool)
+    labels = lead ^ (rng.random(rows) < noise)
+    return features, labels
+
+
+class TestDistinctRowTree:
+    """The tree grown on distinct rows against the row-by-row learner it
+    replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree_inputs(), st.integers(1, 20), st.sampled_from([None, 0, 1, 2, 5]),
+           st.sampled_from([None, 0.0, 0.01]))
+    def test_equals_row_oracle(self, data, min_leaf, max_depth, min_gain):
+        features, labels = data
+        kwargs = dict(min_leaf=min_leaf, max_depth=max_depth, min_gain=min_gain)
+        got = learn_tree(features, labels, **kwargs)
+        assert got == learn_tree_oracle(features, labels, **kwargs)
+        # the JSON carries plain ints, as the oracle's tree does
+        assert got.to_json() == learn_tree_oracle(features, labels, **kwargs).to_json()
+
+    def test_many_duplicates_with_ties(self):
+        # 200 000 rows of 5 factors, the stress command's shape: at most 64
+        # distinct rows, and leaves whose counts tie
+        rng = np.random.default_rng(3)
+        features = rng.integers(0, 2, size=(200_000, 5), dtype=np.uint8)
+        labels = (features[:, 0] == 0) & (rng.random(200_000) < 0.5)
+        for min_gain in (None, 0.0):
+            tree = learn_tree(features, labels, min_gain=min_gain)
+            assert tree == learn_tree_oracle(features, labels, min_gain=min_gain)
+
+
+class TestLabelMeasure:
+    def test_matches_label_scenarios_and_cut(self):
+        rng = np.random.default_rng(11)
+        scen = scenarios_with_factor_rule(rng, count=777)
+        port = Portfolio(range(5, 15), rng.random(10))
+        for fraction in (0.0, 0.05, 0.1, 0.5, 1.0):
+            labels, cut = label_measure(up_counts(scen, port), fraction)
+            assert np.array_equal(labels, label_scenarios(scen, port, fraction))
+            assert cut == implied_up_cut(scen, port, fraction)
+            if cut is not None:
+                assert cut == up_counts(scen, port)[labels].max()
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="risky_fraction"):
+            label_measure(np.zeros(3), 1.5)
+        with pytest.raises(ValueError, match="at least one scenario"):
+            label_measure(np.zeros(0), 0.1)
 
 class TestPredict:
     def test_single_leaf_tree(self):

@@ -8,7 +8,9 @@ change to results is the point of the patch (then record the new digests
 and say so in CHANGES.md).
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import re
 
@@ -17,8 +19,13 @@ import pytest
 from oracles import famafrench
 from sbcn.bootstrap import edge_confidence
 from sbcn.cli import main
-from sbcn.datagen import sparse_random_instance
-from sbcn.learn import LearnOptions, learn_bn, learn_sbcn
+from sbcn.datagen import (
+    ground_truth_dag,
+    market_factor_spec,
+    simulate_dataset,
+    sparse_random_instance,
+)
+from sbcn.learn import LearnOptions, fit_cpts, learn_bn, learn_sbcn
 
 LEARNERS = {"sbcn": learn_sbcn, "bn": learn_bn}
 
@@ -207,3 +214,66 @@ def test_cli_artifact_digest(cli_artifacts, artifact):
 
 def test_cli_artifacts_all_pinned(cli_artifacts):
     assert sorted(cli_artifacts) == sorted(CLI_GOLDEN)
+
+
+# `stress` runs that draw far more rows than one sampling block and grow the
+# tree on many rows: a truth-fitted model (one parent per factor, five per
+# stock) and a dense model learned without bootstrap (102 arcs, a node with
+# 14 parents).  Each run pins its scenario CSV, tree JSON and stderr log
+# (with the output directory masked).
+STRESS_LARGE_GOLDEN = {
+    "truth-0.1-0": {
+        "scenarios": "0c263371cfd5f4b140ce10a89075b37680c172760bcc255e860d6a32a6be8ca6",
+        "tree": "bc9db33591cf54ecfe6df6578c5917be338eb0d7a160440943997dbb3f542446",
+        "log": "059e69177794b680f8ce105f1c6d5b5005e8f3ae2052d82b2a326ed217a969ec",
+    },
+    "truth-0.35-3": {
+        "scenarios": "b10aaaab807f7973713e825d97907d06db0ed33e2d2ce05d63635df08077b44c",
+        "tree": "115671d3a58b91bd13226f85fa6ee8c9c3b5905f19a78c1cb1cca069ce4de5d7",
+        "log": "a2f5b51110aee133b05ab854c71702811af7f01a7ad935e32df64065133de9f1",
+    },
+    "dense-0.1-0": {
+        "scenarios": "2f6e4fcffebcb032be4be141128979e9695243bb402b67c96bade33c837df7e0",
+        "tree": "492440a153ca770e2cd01d84392cd6aaf79b280bcd00f6856b6e2aba5697d81f",
+        "log": "467c297e20cc81cb8d497d7bfde339ed33b78aec29abae34f955b5a64681f65f",
+    },
+    "dense-0.35-3": {
+        "scenarios": "3aeb9b137a98c3bd167d61dbab2967cd9eeb95a75ea8196fad03b5b09a549454",
+        "tree": "19ddf3a4b7f897d42ffc86538adddfa5480b0c9545ee497a6eccd1ef78fb1b51",
+        "log": "ae4444d1fa8609103e46f5c642a8ddfd1aed094ba6b87eddea5a54c6ad462945",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def stress_large_artifacts(tmp_path_factory):
+    d = tmp_path_factory.mktemp("stress-large")
+    spec = market_factor_spec(1, positive_loadings=True)
+    truth = fit_cpts(simulate_dataset(spec, 5000, 2), ground_truth_dag(spec))
+    (d / "truth.json").write_text(truth.to_json(), encoding="utf-8")
+    assert main(["simulate", "--mode", "famafrench", "--samples", "3000", "--seed", "6",
+                 "--out-data", str(d / "ff.csv"), "--out-truth", str(d / "ff-truth.json")]) == 0
+    assert main(["infer", "--data", str(d / "ff.csv"), "--seed", "3",
+                 "--out-model", str(d / "dense.json")]) == 0
+    digests = {}
+    for case in STRESS_LARGE_GOLDEN:
+        model, fraction, path = case.split("-")
+        log = io.StringIO()
+        with contextlib.redirect_stderr(log):
+            code = main(["stress", "--model", str(d / f"{model}.json"),
+                         "--risky-fraction", fraction, "--path-index", path,
+                         "--samples-for-tree", "30001",
+                         "--count", "40003", "--seed", "8",
+                         "--out-scenarios", str(d / "out.csv"), "--out-tree", str(d / "tree.json")])
+        assert code == 0
+        digests[case] = {
+            "scenarios": hashlib.sha256((d / "out.csv").read_bytes()).hexdigest(),
+            "tree": hashlib.sha256((d / "tree.json").read_bytes()).hexdigest(),
+            "log": sha256(log.getvalue().replace(str(d), "<dir>")),
+        }
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(STRESS_LARGE_GOLDEN))
+def test_stress_large_digest(stress_large_artifacts, case):
+    assert stress_large_artifacts[case] == STRESS_LARGE_GOLDEN[case]

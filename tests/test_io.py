@@ -224,3 +224,22 @@ class TestCsvNames:
     def test_negative_rank(self, text):
         with pytest.raises(CsvFormatError, match=r"row 2, column 2: negative rank -1"):
             BinaryDataset.from_csv(text)
+
+    def test_dataset_without_columns_is_not_written(self):
+        ds = BinaryDataset(np.zeros((2, 0), dtype=np.uint8), [], [])
+        with pytest.raises(ValueError, match="no columns"):
+            ds.to_csv()
+
+    @pytest.mark.parametrize("text", ["\n#rank:\n\n\n", "#rank:0,1\n0,1\n", "\n \n#rank:0\r\n1\r\n"])
+    def test_rank_line_before_any_header(self, text):
+        with pytest.raises(CsvFormatError, match=r"row 1: missing header row .*#rank: line"):
+            BinaryDataset.from_csv(text)
+
+    def test_writer_rejects_a_first_name_that_reads_as_a_rank_line(self):
+        ds = BinaryDataset([[0, 1]], ["#rank:x", "b"], [0, 0])
+        with pytest.raises(ValueError, match="column 1: name '#rank:x'"):
+            ds.to_csv()
+        with pytest.raises(ValueError, match="column 1: name '#rank:x'"):
+            scenarios_to_csv(np.zeros((1, 2), dtype=np.uint8), ["#rank:x", "b"])
+        later = BinaryDataset([[0, 1]], ["b", "#rank:x"], [0, 1])
+        assert BinaryDataset.from_csv(later.to_csv()) == later

@@ -3,10 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import empirical_joint, exact_joint, random_cpt_model, total_variation
+from oracles import (
+    ancestral_sample_oracle,
+    empirical_joint,
+    exact_joint,
+    random_cpt_model,
+    total_variation,
+)
 from sbcn.datagen import ground_truth_dag, market_factor_spec
 from sbcn.model import Cpt, Dag, SbcnModel
-from sbcn.sampling import ancestral_sample, clamp, stress_sample, topological_order
+from sbcn.sampling import _BLOCK_ROWS, ancestral_sample, clamp, stress_sample, topological_order
 
 
 def chain_model(probs=(0.5, 0.8, 0.3)):
@@ -165,3 +171,55 @@ def test_clamped_nodes_hold_in_every_sample(data):
     draws = stress_sample(model, assignment, 64, seed=model_seed)
     for node, value in assignment.items():
         assert np.all(draws[:, node] == value)
+
+
+B = _BLOCK_ROWS
+@st.composite
+def sampler_models(draw):
+    """Models whose node labels are a random permutation of a random DAG's
+    topological order, so the sampling order differs from index order; a
+    node may take 10 or more parents; some table entries are exactly 0 or
+    1, and some tables are clamped."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 14))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+    perm = rng.permutation(n)
+    dag = Dag(n, [(perm[u], perm[v]) for v in range(n) for u in range(v) if rng.random() < density])
+    cpts = []
+    for v in range(n):
+        parents = dag.parents(v)
+        table = rng.random(2 ** len(parents))
+        table[rng.random(table.shape) < 0.2] = rng.choice([0.0, 1.0, 1.0 - 2**-53])
+        cpts.append(Cpt(v, parents, table))
+    model = SbcnModel(dag, cpts, [0] * n)
+    assignment = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1), max_size=3))
+    return clamp(model, assignment)
+
+
+class TestBlockedSampler:
+    """The row-block sampler against the whole-matrix sampler it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sampler_models(), st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 1]) | st.integers(0, 50),
+           st.integers(0, 2**32))
+    def test_equals_whole_matrix_oracle(self, model, count, seed):
+        got = ancestral_sample(model, count, seed)
+        assert got.dtype == np.uint8 and got.shape == (count, model.n)
+        assert np.array_equal(got, ancestral_sample_oracle(model, count, seed))
+
+    @pytest.mark.parametrize("count", [B - 1, B + 1, 2 * B + 1])
+    def test_wide_parent_sets(self, count):
+        # a 12-parent child, two 10-parent children with different parent
+        # sets, and a third child sharing one of those sets
+        rng = np.random.default_rng(count)
+        dag = Dag(16, [(u, 12) for u in range(12)] + [(u, 13) for u in range(2, 12)]
+                  + [(u, 14) for u in range(10)] + [(u, 15) for u in range(2, 12)])
+        cpts = [Cpt(v, dag.parents(v), rng.random(2 ** len(dag.parents(v)))) for v in range(16)]
+        model = SbcnModel(dag, cpts, [0] * 16)
+        for m in (model, clamp(model, {0: 1, 12: 0})):
+            assert np.array_equal(ancestral_sample(m, count, 9), ancestral_sample_oracle(m, count, 9))
+
+    def test_stress_sample_equals_oracle_on_clamped_model(self):
+        model = random_cpt_model(np.random.default_rng(4), 9, edge_prob=0.7)
+        got = stress_sample(model, {1: 0, 3: 1}, 2 * B + 1, 5)
+        assert np.array_equal(got, ancestral_sample_oracle(clamp(model, {1: 0, 3: 1}), 2 * B + 1, 5))
