@@ -25,10 +25,12 @@ from .classifier import (
     up_counts,
 )
 from .datagen import (
+    GENERATOR_PARAMS,
     FactorModelSpec,
     RealSeries,
     binarize,
     estimate_spec,
+    generate_instance,
     ground_truth_dag,
     lag_align,
     market_factor_spec,
@@ -45,6 +47,7 @@ from .evaluation import (
     run_sweep,
 )
 from .learn import (
+    LEARNERS,
     EdgeSet,
     EmptyStratumError,
     LearnOptions,
@@ -53,7 +56,9 @@ from .learn import (
     fit_cpts,
     hill_climb,
     learn_bn,
+    learn_model,
     learn_sbcn,
+    learn_structure,
     log_likelihood,
     prima_facie_edges,
     regularized_score,

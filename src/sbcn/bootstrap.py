@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .learn import LearnOptions, fit_cpts, learn_bn, learn_sbcn
+from .learn import LearnOptions, fit_cpts, learn_structure
 from .model import BinaryDataset, Dag, ModelSchemaError, SbcnModel, _dumps_indent2
 from .seeds import derive_seed
 
@@ -63,11 +63,10 @@ def resample(dataset: BinaryDataset, seed: int) -> BinaryDataset:
 
 
 def _replicate_edges(args) -> frozenset[tuple[int, int]]:
-    dataset, options, learner_name, b = args
-    learner = learn_sbcn if learner_name == "sbcn" else learn_bn
+    dataset, options, learner, b = args
     rep_data = resample(dataset, derive_seed(options.seed, 1, b))
-    rep_model = learner(rep_data, replace(options, seed=derive_seed(options.seed, 2, b)))
-    return rep_model.dag.edges
+    rep_options = replace(options, seed=derive_seed(options.seed, 2, b))
+    return learn_structure(rep_data, rep_options, learner).edges
 
 
 def edge_confidence(
@@ -75,7 +74,7 @@ def edge_confidence(
     options: LearnOptions,
     replicates: int = 100,
     model: SbcnModel | None = None,
-    learner=learn_sbcn,
+    learner: str = "sbcn",
     threads: int | None = 1,
 ) -> BootstrapReport:
     """Arc retrieval frequency over ``replicates`` resampled relearns.
@@ -85,24 +84,21 @@ def edge_confidence(
     plus any arc retrieved in at least one replicate.  Replicate seeds are
     derived from ``options.seed``, and aggregation is a fixed-order
     reduction, so the report is reproducible and independent of ``threads``
-    (worker processes; None uses all cores).  ``learner`` must match the
-    procedure that produced ``model`` (the unconstrained baseline can be
-    bootstrapped by passing ``learn_bn``).
+    (worker processes; None uses all cores).  ``learner`` names the entry
+    of ``sbcn.learn.LEARNERS`` that produced ``model`` ("sbcn" or the
+    unconstrained baseline "bn").  Only arcs are counted, so every learn
+    here is ``learn_structure``: no CPTs are fitted.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if learner not in (learn_sbcn, learn_bn):
-        raise ValueError("learner must be learn_sbcn or learn_bn")
-    if model is None:
-        model = learner(dataset, options)
-    learner_name = "sbcn" if learner is learn_sbcn else "bn"
-    tasks = [(dataset, options, learner_name, b) for b in range(replicates)]
+    learned = learn_structure(dataset, options, learner) if model is None else model.dag
+    tasks = [(dataset, options, learner, b) for b in range(replicates)]
     if threads is not None and threads <= 1:
         edge_sets = [_replicate_edges(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             edge_sets = list(pool.map(_replicate_edges, tasks))
-    counts: dict[tuple[int, int], int] = {e: 0 for e in sorted(model.dag.edges)}
+    counts: dict[tuple[int, int], int] = {e: 0 for e in sorted(learned.edges)}
     for edges in edge_sets:
         for e in sorted(edges):
             counts[e] = counts.get(e, 0) + 1

@@ -21,14 +21,9 @@ from .classifier import (
     risky_paths,
     up_counts,
 )
-from .datagen import (
-    ground_truth_dag,
-    market_factor_spec,
-    simulate_dataset,
-    sparse_random_instance,
-)
-from .evaluation import GENERATOR_MODES, LEARNERS, SweepConfig, arc_contingency, run_sweep
-from .learn import CRITERIA, PENALTIES, LearnOptions, learn_bn, learn_sbcn
+from .datagen import GENERATOR_MODES, generate_instance
+from .evaluation import SweepConfig, arc_contingency, run_sweep
+from .learn import CRITERIA, LEARNERS, PENALTIES, LearnOptions, learn_model
 from .model import (
     BinaryDataset,
     SbcnModel,
@@ -63,43 +58,16 @@ def _fraction(text: str) -> float:
 
 
 def _cmd_simulate(args) -> int:
-    overrides = json.loads(_read(args.spec)) if args.spec else {}
-    if not isinstance(overrides, dict):
+    params = json.loads(_read(args.spec)) if args.spec else {}
+    if not isinstance(params, dict):
         raise ValueError("--spec file must hold a JSON object")
-    if args.mode == "famafrench":
-        known = {"n_stocks", "positive_loadings", "lag"}
-        _reject_unknown(overrides, known)
-        spec = market_factor_spec(
-            derive_seed(args.seed, 0),
-            n_stocks=int(overrides.get("n_stocks", 10)),
-            positive_loadings=bool(overrides.get("positive_loadings", False)),
-            lag=int(overrides.get("lag", 1)),
-        )
-        data = simulate_dataset(spec, args.samples, derive_seed(args.seed, 1))
-        truth = ground_truth_dag(spec)
-    else:
-        known = {"n_factors", "n_stocks", "p", "signed_loadings"}
-        _reject_unknown(overrides, known)
-        spec, truth, data = sparse_random_instance(
-            n_factors=int(overrides.get("n_factors", 10)),
-            n_stocks=int(overrides.get("n_stocks", 20)),
-            p=float(overrides.get("p", 0.3)),
-            T=args.samples,
-            seed=args.seed,
-            signed_loadings=bool(overrides.get("signed_loadings", False)),
-        )
+    spec, truth, data = generate_instance(args.mode, params, args.samples, args.seed)
     _write(args.out_data, data.to_csv())
     _log(f"wrote {data.m}x{data.n} dataset to {args.out_data}")
     if args.out_truth:
         _write(args.out_truth, dag_to_json(truth, spec.names))
         _log(f"wrote ground truth ({len(truth.edges)} arcs) to {args.out_truth}")
     return 0
-
-
-def _reject_unknown(overrides: dict, known: set[str]) -> None:
-    unknown = sorted(set(overrides) - known)
-    if unknown:
-        raise ValueError(f"unknown generator parameters: {', '.join(unknown)}")
 
 
 def _cmd_infer(args) -> int:
@@ -112,13 +80,12 @@ def _cmd_infer(args) -> int:
         seed=args.seed,
         penalty=args.penalty,
     )
-    learn = learn_sbcn if args.learner == "sbcn" else learn_bn
-    model = learn(data, options)
+    model = learn_model(data, options, args.learner)
     _log(f"learned {len(model.dag.edges)} arcs with {args.learner}/{args.criterion}")
     if args.bootstrap > 0:
         threads = args.threads if args.threads else (os.cpu_count() or 1)
         report = edge_confidence(
-            data, options, args.bootstrap, model=model, learner=learn, threads=threads
+            data, options, args.bootstrap, model=model, learner=args.learner, threads=threads
         )
         model = prune(model, report, data, args.confidence, args.smoothing)
         _log(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BinaryDataset, Dag
+from .model import BinaryDataset, Dag, topological_order
 from .seeds import derive_seed
 
 FACTOR_NAMES_5 = ("Km", "SMB", "HML", "RMW", "CMA")
@@ -230,9 +230,8 @@ def simulate(spec: FactorModelSpec, T: int, seed: int) -> RealSeries:
     nf, ns = spec.n_factors, spec.n_stocks
 
     factors = np.empty((total, nf))
-    order = _factor_order(spec.factor_dag)
     noise = rng.normal(size=(total, nf)) * spec.factor_sigma
-    for j in order:
+    for j in topological_order(spec.factor_dag):
         parent_cols = list(spec.factor_dag.parents(j))
         factors[:, j] = noise[:, j]
         if parent_cols:
@@ -246,20 +245,6 @@ def simulate(spec: FactorModelSpec, T: int, seed: int) -> RealSeries:
 
     values = np.hstack([factors, stocks])[spec.lag :]
     return RealSeries(values, spec.names, n_factors=nf)
-
-
-def _factor_order(dag: Dag) -> list[int]:
-    order = []
-    remaining = set(range(dag.n))
-    placed: set[int] = set()
-    while remaining:
-        ready = sorted(v for v in remaining if set(dag.parents(v)) <= placed)
-        if not ready:
-            raise ValueError("factor_dag contains a cycle")
-        order.extend(ready)
-        placed.update(ready)
-        remaining.difference_update(ready)
-    return order
 
 
 def lag_align(series: RealSeries, lag: int) -> RealSeries:
@@ -355,6 +340,44 @@ def sparse_random_instance(
     )
     data = simulate_dataset(spec, T, derive_seed(seed, 1))
     return spec, ground_truth_dag(spec), data
+
+
+#: The generator modes and, for each, its parameters and their defaults.
+#: A parameter takes the type of its default.
+GENERATOR_PARAMS = {
+    "famafrench": {"n_stocks": 10, "positive_loadings": False, "lag": 1},
+    "sparse": {"n_factors": 10, "n_stocks": 20, "p": 0.3, "signed_loadings": False},
+}
+GENERATOR_MODES = tuple(GENERATOR_PARAMS)
+
+
+def generator_params(mode: str, params: dict) -> dict:
+    """The mode's defaults overridden by ``params``; ``ValueError`` on an
+    unknown mode or key, or a non-bool value for a boolean parameter."""
+    if mode not in GENERATOR_PARAMS:
+        raise ValueError(f"generator mode must be one of {GENERATOR_MODES}, got {mode!r}")
+    defaults = GENERATOR_PARAMS[mode]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown generator parameters: {', '.join(unknown)}")
+    out = dict(defaults)
+    for key, value in params.items():
+        if isinstance(defaults[key], bool) and not isinstance(value, bool):
+            raise ValueError(f"generator parameter {key} must be true or false, got {value!r}")
+        out[key] = type(defaults[key])(value)
+    return out
+
+
+def generate_instance(
+    mode: str, params: dict, T: int, seed: int
+) -> tuple[FactorModelSpec, Dag, BinaryDataset]:
+    """(spec, ground-truth DAG, T-row dataset) of the named generator with
+    ``generator_params(mode, params)``; the seed fixes the instance."""
+    kwargs = generator_params(mode, params)
+    if mode == "sparse":
+        return sparse_random_instance(T=T, seed=seed, **kwargs)
+    spec = market_factor_spec(derive_seed(seed, 0), **kwargs)
+    return spec, ground_truth_dag(spec), simulate_dataset(spec, T, derive_seed(seed, 1))
 
 
 def _ols(X: np.ndarray, Y: np.ndarray, names) -> tuple[np.ndarray, np.ndarray]:

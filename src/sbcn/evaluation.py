@@ -15,13 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bootstrap import edge_confidence, prune
-from .datagen import market_factor_spec, simulate_dataset, sparse_random_instance, ground_truth_dag
-from .learn import CRITERIA, PENALTIES, LearnOptions, learn_bn, learn_sbcn
+from .datagen import generate_instance, generator_params
+from .learn import CRITERIA, LEARNERS, PENALTIES, LearnOptions, learn_model
 from .model import ContingencyStats, Dag, ModelSchemaError, float_repr
 from .seeds import derive_seed
-
-LEARNERS = ("sbcn", "bn")
-GENERATOR_MODES = ("famafrench", "sparse")
 
 RATE_FIELDS = ("fp_rate_of_inferred", "fn_rate_of_true", "fpr", "tpr")
 
@@ -75,11 +72,10 @@ class SweepConfig:
     REQUIRED = ("generator", "sample_sizes", "criteria", "bootstrap", "learners", "repetitions", "seed")
 
     def __post_init__(self):
-        mode = self.generator.get("mode")
-        if mode not in GENERATOR_MODES:
-            raise ModelSchemaError(
-                f"generator.mode must be one of {GENERATOR_MODES}, got {mode!r}"
-            )
+        try:
+            generator_params(self.generator.get("mode"), self.generator_params)
+        except ValueError as exc:
+            raise ModelSchemaError(str(exc)) from None
         for learner in self.learners:
             if learner not in LEARNERS:
                 raise ModelSchemaError(f"unknown learner {learner!r}")
@@ -93,6 +89,11 @@ class SweepConfig:
         if self.penalty not in PENALTIES:
             raise ModelSchemaError(f"unknown penalty {self.penalty!r}")
 
+    @property
+    def generator_params(self) -> dict:
+        """The generator entry without its "mode"."""
+        return {k: v for k, v in self.generator.items() if k != "mode"}
+
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
         try:
@@ -104,11 +105,13 @@ class SweepConfig:
         missing = [k for k in cls.REQUIRED if k not in obj]
         if missing:
             raise ModelSchemaError(f"config is missing keys: {', '.join(missing)}")
+        if not all(isinstance(b, bool) for b in obj["bootstrap"]):
+            raise ModelSchemaError(f"bootstrap entries must be true or false, got {obj['bootstrap']!r}")
         return cls(
             generator=dict(obj["generator"]),
             sample_sizes=tuple(int(s) for s in obj["sample_sizes"]),
             criteria=tuple(str(c) for c in obj["criteria"]),
-            bootstrap=tuple(bool(b) for b in obj["bootstrap"]),
+            bootstrap=tuple(obj["bootstrap"]),
             learners=tuple(str(l) for l in obj["learners"]),
             repetitions=int(obj["repetitions"]),
             seed=int(obj["seed"]),
@@ -167,49 +170,30 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _generate_instance(generator: dict, sample_size: int, data_seed: int):
-    """Fresh (truth DAG, dataset) pair for one repetition."""
-    mode = generator["mode"]
-    if mode == "sparse":
-        _, truth, data = sparse_random_instance(
-            n_factors=int(generator.get("n_factors", 10)),
-            n_stocks=int(generator.get("n_stocks", 20)),
-            p=float(generator.get("p", 0.3)),
-            T=sample_size,
-            seed=data_seed,
-            signed_loadings=bool(generator.get("signed_loadings", False)),
+@dataclass(frozen=True)
+class _SweepRep:
+    """What one repetition of one cell needs besides its ``LearnOptions``."""
+
+    config: SweepConfig
+    learner: str
+    bootstrap: bool
+    sample_size: int
+    data_seed: int
+
+
+def _sweep_rep(rep: _SweepRep, options: LearnOptions) -> dict[str, float]:
+    config = rep.config
+    _, truth, data = generate_instance(
+        config.generator["mode"], config.generator_params, rep.sample_size, rep.data_seed
+    )
+    model = learn_model(data, options, rep.learner)
+    if rep.bootstrap:
+        report = edge_confidence(
+            data, options, config.bootstrap_replicates, model=model, learner=rep.learner
         )
-        return truth, data
-    spec = market_factor_spec(
-        derive_seed(data_seed, 0),
-        n_stocks=int(generator.get("n_stocks", 10)),
-        positive_loadings=bool(generator.get("positive_loadings", False)),
-        lag=int(generator.get("lag", 1)),
-    )
-    data = simulate_dataset(spec, sample_size, derive_seed(data_seed, 1))
-    return ground_truth_dag(spec), data
-
-
-def _sweep_rep(args) -> tuple[int, int, dict[str, float]]:
-    (cell_idx, rep, generator, sample_size, learner, criterion, use_boot,
-     replicates, threshold, data_seed, learn_seed, max_iterations, restarts,
-     smoothing, penalty) = args
-    truth, data = _generate_instance(generator, sample_size, data_seed)
-    options = LearnOptions(
-        criterion=criterion,
-        max_iterations=max_iterations,
-        restarts=restarts,
-        smoothing=smoothing,
-        seed=learn_seed,
-        penalty=penalty,
-    )
-    learn = learn_sbcn if learner == "sbcn" else learn_bn
-    model = learn(data, options)
-    if use_boot:
-        report = edge_confidence(data, options, replicates, model=model, learner=learn)
-        model = prune(model, report, data, threshold, smoothing)
+        model = prune(model, report, data, config.confidence_threshold, options.smoothing)
     stats = arc_contingency(model.dag, truth)
-    return cell_idx, rep, {f: getattr(stats, f) for f in RATE_FIELDS}
+    return {f: getattr(stats, f) for f in RATE_FIELDS}
 
 
 def run_sweep(config: SweepConfig, threads: int | None = None, log=None) -> SweepReport:
@@ -227,33 +211,34 @@ def run_sweep(config: SweepConfig, threads: int | None = None, log=None) -> Swee
         for boot in config.bootstrap
         for size in config.sample_sizes
     ]
-    tasks = []
-    for cell_idx, (learner, criterion, boot, size) in enumerate(cells):
+    reps: list[_SweepRep] = []
+    options: list[LearnOptions] = []
+    for learner, criterion, boot, size in cells:
         size_idx = config.sample_sizes.index(size)
         for rep in range(config.repetitions):
-            tasks.append((
-                cell_idx, rep, config.generator, size, learner, criterion, boot,
-                config.bootstrap_replicates, config.confidence_threshold,
-                derive_seed(config.seed, 0, size_idx, rep),
-                derive_seed(config.seed, 1, size_idx, rep),
-                config.max_iterations, config.restarts, config.smoothing,
-                config.penalty,
+            reps.append(
+                _SweepRep(config, learner, boot, size, derive_seed(config.seed, 0, size_idx, rep))
+            )
+            options.append(LearnOptions(
+                criterion=criterion,
+                max_iterations=config.max_iterations,
+                restarts=config.restarts,
+                smoothing=config.smoothing,
+                seed=derive_seed(config.seed, 1, size_idx, rep),
+                penalty=config.penalty,
             ))
 
-    results: dict[tuple[int, int], dict[str, float]] = {}
+    # map keeps the task order: cell by cell, repetitions in order
     if threads is not None and threads <= 1:
-        for task in tasks:
-            cell_idx, rep, rates = _sweep_rep(task)
-            results[(cell_idx, rep)] = rates
+        results = list(map(_sweep_rep, reps, options))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for cell_idx, rep, rates in pool.map(_sweep_rep, tasks, chunksize=1):
-                results[(cell_idx, rep)] = rates
+            results = list(pool.map(_sweep_rep, reps, options, chunksize=1))
 
     rows = []
     for cell_idx, (learner, criterion, boot, size) in enumerate(cells):
-        samples = {f: np.array([results[(cell_idx, r)][f] for r in range(config.repetitions)])
-                   for f in RATE_FIELDS}
+        cell_results = results[cell_idx * config.repetitions : (cell_idx + 1) * config.repetitions]
+        samples = {f: np.array([r[f] for r in cell_results]) for f in RATE_FIELDS}
         means = {f: float(np.mean(samples[f])) for f in RATE_FIELDS}
         stderrs = {
             f: float(np.std(samples[f], ddof=1) / np.sqrt(config.repetitions))

@@ -502,17 +502,52 @@ def hill_climb(dataset: BinaryDataset, allowed: EdgeSet, options: LearnOptions) 
     return Dag(dataset.n, best_edges)
 
 
+def _prima_facie_rule(dataset: BinaryDataset, options: LearnOptions) -> EdgeSet:
+    # Calls prima_facie_edges by its module-level name, so a tracer that
+    # patches that name sees every call.
+    return prima_facie_edges(dataset, options.tp_mode)
+
+
+def _all_pairs_rule(dataset: BinaryDataset, options: LearnOptions) -> EdgeSet:
+    n = dataset.n
+    return EdgeSet(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+
+
+#: Learner name -> candidate rule, (dataset, options) -> EdgeSet: the arcs
+#: the shared search may use.  "bn" is the Bayesian-network baseline.
+LEARNERS = {"sbcn": _prima_facie_rule, "bn": _all_pairs_rule}
+
+
+def _candidate_rule(learner: str):
+    try:
+        return LEARNERS[learner]
+    except KeyError:
+        raise ValueError(f"unknown learner {learner!r}; choose from {', '.join(LEARNERS)}") from None
+
+
+def learn_structure(
+    dataset: BinaryDataset, options: LearnOptions = LearnOptions(), learner: str = "sbcn"
+) -> Dag:
+    """The structure the named learner finds: ``hill_climb`` over the arcs
+    its candidate rule allows.  No CPTs are fitted."""
+    return hill_climb(dataset, _candidate_rule(learner)(dataset, options), options)
+
+
 def learn_sbcn(dataset: BinaryDataset, options: LearnOptions = LearnOptions()) -> SbcnModel:
     """Full pipeline: prima facie filtering, hill climbing, CPT fitting."""
-    allowed = prima_facie_edges(dataset, tp_mode=options.tp_mode)
-    dag = hill_climb(dataset, allowed, options)
-    return fit_cpts(dataset, dag, options.smoothing)
+    return fit_cpts(dataset, learn_structure(dataset, options, "sbcn"), options.smoothing)
 
 
 def learn_bn(dataset: BinaryDataset, options: LearnOptions = LearnOptions()) -> SbcnModel:
     """Baseline learner: same search and scoring, but every ordered pair is
     a candidate (no temporal or probability-raising constraints)."""
-    n = dataset.n
-    allowed = EdgeSet(n, [(u, v) for u in range(n) for v in range(n) if u != v])
-    dag = hill_climb(dataset, allowed, options)
-    return fit_cpts(dataset, dag, options.smoothing)
+    return fit_cpts(dataset, learn_structure(dataset, options, "bn"), options.smoothing)
+
+
+def learn_model(
+    dataset: BinaryDataset, options: LearnOptions = LearnOptions(), learner: str = "sbcn"
+) -> SbcnModel:
+    """The named learner's full pipeline, ``learn_<name>``.  It is looked up
+    by its module-level name when called, so a tracer patching it sees it."""
+    _candidate_rule(learner)  # reject an unknown name before the lookup
+    return globals()[f"learn_{learner}"](dataset, options)

@@ -8,6 +8,7 @@ with full shortest-round-trip precision).
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -29,29 +30,38 @@ class ModelSchemaError(ValueError):
     """Model or report JSON does not match the expected schema."""
 
 
-def has_cycle(n: int, edges) -> bool:
-    """Return True iff the directed graph on nodes 0..n-1 has a cycle.
-
-    Kahn-style peeling: repeatedly remove nodes of in-degree zero; a cycle
-    exists iff some node is never removed.  Self-loops count as cycles.
-    """
+def _kahn_order(n: int, edges) -> list[int]:
+    """Kahn's peeling, lowest-index ready node first: parents before
+    children.  Nodes on or after a cycle (or self-loop) are left out."""
     indeg = [0] * n
     children: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        if u == v:
-            return True
         children[u].append(v)
         indeg[v] += 1
-    stack = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
+    ready = [v for v in range(n) if indeg[v] == 0]  # ascending, so a heap
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
         for v in children[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                stack.append(v)
-    return seen != n
+                heapq.heappush(ready, v)
+    return order
+
+
+def has_cycle(n: int, edges) -> bool:
+    """Return True iff the directed graph on nodes 0..n-1 has a cycle
+    (a self-loop counts)."""
+    return len(_kahn_order(n, edges)) != n
+
+
+def topological_order(dag) -> list[int]:
+    """Parents-before-children order; ties broken by lowest node index."""
+    order = _kahn_order(dag.n, dag.edges)
+    if len(order) != dag.n:
+        raise ValueError("graph contains a directed cycle")
+    return order
 
 
 def _as_binary_matrix(values) -> np.ndarray:

@@ -7,33 +7,9 @@ the forced value, ancestors keep their original distributions.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from .model import Cpt, SbcnModel
-
-
-def topological_order(dag) -> list[int]:
-    """Parents-before-children order; ties broken by lowest node index."""
-    indeg = [0] * dag.n
-    children: list[list[int]] = [[] for _ in range(dag.n)]
-    for u, v in dag.edges:
-        children[u].append(v)
-        indeg[v] += 1
-    ready = [v for v in range(dag.n) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in children[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != dag.n:
-        raise ValueError("graph contains a directed cycle")
-    return order
+from .model import Cpt, SbcnModel, topological_order
 
 
 # Rows drawn per block.  PCG64 spends one 64-bit output per float64, so the

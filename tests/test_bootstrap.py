@@ -3,7 +3,7 @@ import pytest
 
 from oracles import make_dataset as dataset
 from sbcn.bootstrap import BootstrapReport, edge_confidence, prune, resample
-from sbcn.learn import LearnOptions, fit_cpts, learn_sbcn
+from sbcn.learn import LearnOptions, fit_cpts, learn_bn, learn_sbcn
 from sbcn.model import Dag, ModelSchemaError
 
 
@@ -90,6 +90,23 @@ class TestEdgeConfidence:
         model = learn_sbcn(ds, opts)
         report = edge_confidence(ds, opts, replicates=3, model=model)
         assert set(model.dag.edges) <= set(report.confidence)
+
+    def test_learner_is_a_registry_name(self):
+        ds = copy_edge_dataset(7)
+        opts = LearnOptions(max_iterations=200, seed=3)
+        model = learn_bn(ds, opts)
+        assert edge_confidence(ds, opts, replicates=3, learner="bn") == edge_confidence(
+            ds, opts, replicates=3, model=model, learner="bn"
+        )
+
+    @pytest.mark.parametrize("model", [None, "learned"])
+    def test_unknown_learner(self, model):
+        ds = copy_edge_dataset(8)
+        opts = LearnOptions(max_iterations=50, seed=0)
+        if model:
+            model = learn_sbcn(ds, opts)
+        with pytest.raises(ValueError, match=r"unknown learner 'pc'; choose from sbcn, bn"):
+            edge_confidence(ds, opts, replicates=2, model=model, learner="pc")
 
 
 class TestPrune:

@@ -70,6 +70,21 @@ class TestSimulate:
         assert run(["simulate", "--samples", 50, "--spec", spec_file,
                     "--out-data", tmp_path / "d.csv"]) == 1
 
+    @pytest.mark.parametrize("mode, params, message", [
+        ("famafrench", {"positive_loadings": "false"},
+         "error: generator parameter positive_loadings must be true or false, got 'false'"),
+        ("sparse", {"signed_loadings": 0},
+         "error: generator parameter signed_loadings must be true or false, got 0"),
+        ("sparse", {"lag": 2}, "error: unknown generator parameters: lag"),
+    ])
+    def test_bad_spec_names_the_key(self, tmp_path, capsys, mode, params, message):
+        spec_file = tmp_path / "gen.json"
+        spec_file.write_text(json.dumps(params))
+        assert run(["simulate", "--mode", mode, "--samples", 50, "--spec", spec_file,
+                    "--out-data", tmp_path / "d.csv"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestInfer:
     def test_learn_and_write_model(self, tmp_path):

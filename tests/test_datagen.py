@@ -3,11 +3,15 @@ import pytest
 
 from sbcn.datagen import (
     FACTOR_NAMES_5,
+    GENERATOR_MODES,
+    GENERATOR_PARAMS,
     FactorModelSpec,
     RealSeries,
     SingularDesignError,
     binarize,
     estimate_spec,
+    generate_instance,
+    generator_params,
     ground_truth_dag,
     lag_align,
     market_factor_spec,
@@ -18,6 +22,7 @@ from sbcn.datagen import (
 )
 from sbcn.learn import prima_facie_edges
 from sbcn.model import Dag
+from sbcn.seeds import derive_seed
 
 
 def split_series(series, spec):
@@ -259,3 +264,41 @@ class TestSeriesCsv:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             RealSeries(np.array([[np.inf]]), ["x"])
+
+
+class TestGenerateInstance:
+    def test_modes_are_the_parameter_table(self):
+        assert GENERATOR_MODES == tuple(GENERATOR_PARAMS) == ("famafrench", "sparse")
+
+    def test_famafrench_instance(self):
+        spec, truth, data = generate_instance(
+            "famafrench", {"n_stocks": 3, "positive_loadings": True}, 60, seed=4
+        )
+        expected = market_factor_spec(derive_seed(4, 0), n_stocks=3, positive_loadings=True)
+        assert spec == expected
+        assert truth == ground_truth_dag(expected)
+        assert data == simulate_dataset(expected, 60, derive_seed(4, 1))
+
+    def test_sparse_instance(self):
+        got = generate_instance("sparse", {"n_factors": 3, "p": 0.5}, 40, seed=2)
+        expected = sparse_random_instance(n_factors=3, p=0.5, T=40, seed=2)
+        assert got == expected
+
+    def test_defaults_and_types(self):
+        assert generator_params("famafrench", {}) == GENERATOR_PARAMS["famafrench"]
+        params = generator_params("sparse", {"n_stocks": 4.0, "p": 1})
+        assert params["n_stocks"] == 4 and type(params["n_stocks"]) is int
+        assert params["p"] == 1.0 and type(params["p"]) is float
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="generator mode must be one of"):
+            generate_instance("garch", {}, 50, seed=0)
+
+    def test_unknown_keys_listed(self):
+        with pytest.raises(ValueError, match="^unknown generator parameters: n_factor, vol$"):
+            generator_params("sparse", {"vol": 1, "n_factor": 2, "p": 0.1})
+
+    @pytest.mark.parametrize("value", ["true", 1, None])
+    def test_flags_must_be_booleans(self, value):
+        with pytest.raises(ValueError, match="generator parameter signed_loadings must be true or false"):
+            generator_params("sparse", {"signed_loadings": value})

@@ -106,6 +106,34 @@ class TestSweepConfig:
         with pytest.raises(ModelSchemaError, match="generator.mode"):
             tiny_config(generator={"mode": "garch"})
 
+    @pytest.mark.parametrize("generator, key", [
+        ({"mode": "sparse", "n_factor": 4}, "n_factor"),
+        ({"mode": "famafrench", "n_factors": 4}, "n_factors"),
+        ({"mode": "famafrench", "signed_loadings": True}, "signed_loadings"),
+    ])
+    def test_unknown_generator_key(self, generator, key):
+        with pytest.raises(ModelSchemaError, match=f"unknown generator parameters: {key}$"):
+            tiny_config(generator=generator)
+
+    @pytest.mark.parametrize("generator, key", [
+        ({"mode": "famafrench", "positive_loadings": "false"}, "positive_loadings"),
+        ({"mode": "sparse", "signed_loadings": 1}, "signed_loadings"),
+    ])
+    def test_generator_flags_must_be_json_booleans(self, generator, key):
+        with pytest.raises(ModelSchemaError, match=f"generator parameter {key} must be true or false"):
+            tiny_config(generator=generator)
+
+    @pytest.mark.parametrize("entries", [["false"], [0], [True, None]])
+    def test_bootstrap_entries_must_be_json_booleans(self, entries):
+        with pytest.raises(ModelSchemaError, match="bootstrap entries must be true or false"):
+            tiny_config(bootstrap=entries)
+
+    def test_json_booleans_accepted(self):
+        config = tiny_config(
+            bootstrap=[False, True], generator={"mode": "sparse", "signed_loadings": False}
+        )
+        assert config.bootstrap == (False, True)
+
     def test_not_json(self):
         with pytest.raises(ModelSchemaError):
             SweepConfig.from_json("not json")

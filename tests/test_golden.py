@@ -12,11 +12,13 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import re
 
 import pytest
 
 from oracles import famafrench
+from sbcn import bootstrap, learn
 from sbcn.bootstrap import edge_confidence
 from sbcn.cli import main
 from sbcn.datagen import (
@@ -25,6 +27,7 @@ from sbcn.datagen import (
     simulate_dataset,
     sparse_random_instance,
 )
+from sbcn.evaluation import SweepConfig, run_sweep
 from sbcn.learn import LearnOptions, fit_cpts, learn_bn, learn_sbcn
 
 LEARNERS = {"sbcn": learn_sbcn, "bn": learn_bn}
@@ -114,6 +117,47 @@ def test_learned_model_digest(datasets, case):
 def test_bootstrap_report_digest(datasets):
     report = edge_confidence(datasets["ff400"], LearnOptions(seed=3), replicates=4)
     assert sha256(report.to_json()) == BOOTSTRAP_GOLDEN
+
+
+def test_bootstrap_replicates_fit_no_cpts(datasets, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bootstrap replicate fitted CPTs")
+
+    monkeypatch.setattr(learn, "fit_cpts", refuse)
+    monkeypatch.setattr(bootstrap, "fit_cpts", refuse)
+    report = edge_confidence(datasets["ff400"], LearnOptions(seed=3), replicates=4, threads=1)
+    assert sha256(report.to_json()) == BOOTSTRAP_GOLDEN
+
+
+# The baseline learner bootstrapped, and sweep CSVs over both learners with
+# bootstrap off and on, recorded before the learners shared one registry.
+BN_BOOTSTRAP_GOLDEN = "17610ea56f803a0eef59e921436eec4a338cdd847e91dd382c12bdb1833b8078"
+
+SWEEP_GOLDEN = {
+    "famafrench": "35def36d8d5fc0178b9746d5c3e2c78d3d5db258de8f6505b146710632c41eaa",
+    "sparse": "5a080db147b17939af6eac18551f349fa119330d6bcadc61dfc27ac472eb9ea2",
+}
+
+SWEEP_GENERATORS = {
+    "famafrench": {"mode": "famafrench", "n_stocks": 4, "positive_loadings": True, "lag": 1},
+    "sparse": {"mode": "sparse", "n_factors": 4, "n_stocks": 8, "p": 0.4, "signed_loadings": True},
+}
+
+
+def test_bn_bootstrap_report_digest(datasets):
+    report = edge_confidence(datasets["ff400"], LearnOptions(seed=3), replicates=4, learner="bn")
+    assert sha256(report.to_json()) == BN_BOOTSTRAP_GOLDEN
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("generator", sorted(SWEEP_GOLDEN))
+def test_sweep_csv_digest(generator, threads):
+    config = SweepConfig.from_json(json.dumps({
+        "generator": SWEEP_GENERATORS[generator], "sample_sizes": [150], "criteria": ["bic"],
+        "bootstrap": [False, True], "learners": ["sbcn", "bn"], "repetitions": 2,
+        "seed": 13, "bootstrap_replicates": 3, "max_iterations": 300,
+    }))
+    assert sha256(run_sweep(config, threads=threads).to_csv()) == SWEEP_GOLDEN[generator]
 
 
 # Learns on either side of the packed score kernel's row cap (1024 rows),

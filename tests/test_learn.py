@@ -21,6 +21,7 @@ from oracles import (
 )
 from sbcn.learn import (
     CRITERIA,
+    LEARNERS,
     PENALTIES,
     EdgeSet,
     EmptyStratumError,
@@ -30,7 +31,9 @@ from sbcn.learn import (
     fit_cpts,
     hill_climb,
     learn_bn,
+    learn_model,
     learn_sbcn,
+    learn_structure,
     log_likelihood,
     prima_facie_edges,
     regularized_score,
@@ -582,6 +585,30 @@ class TestLearners:
         # perfect copy: raw MLE would hit 0/1; smoothing keeps entries interior
         for cpt in model.cpts:
             assert np.all(cpt.table > 0) and np.all(cpt.table < 1)
+
+    def test_registry_names_in_order(self):
+        assert list(LEARNERS) == ["sbcn", "bn"]
+
+    @pytest.mark.parametrize("name, learner", [("sbcn", learn_sbcn), ("bn", learn_bn)])
+    def test_structure_and_model_match_the_public_learner(self, name, learner):
+        ds = famafrench(300)
+        opts = LearnOptions(seed=4, max_iterations=300)
+        model = learner(ds, opts)
+        assert learn_structure(ds, opts, name) == model.dag
+        assert learn_model(ds, opts, name) == model
+
+    def test_candidate_rules(self):
+        ds = famafrench(300)
+        opts = LearnOptions(tp_mode="marginal")
+        assert LEARNERS["sbcn"](ds, opts) == prima_facie_edges(ds, "marginal")
+        assert LEARNERS["bn"](ds, opts).edges == {
+            (u, v) for u in range(ds.n) for v in range(ds.n) if u != v
+        }
+
+    @pytest.mark.parametrize("call", [learn_structure, learn_model])
+    def test_unknown_learner_names_value_and_registry(self, call):
+        with pytest.raises(ValueError, match=r"unknown learner 'pc'; choose from sbcn, bn"):
+            call(dataset([[0, 1], [1, 0]]), LearnOptions(), "pc")
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

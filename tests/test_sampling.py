@@ -41,6 +41,19 @@ class TestTopologicalOrder:
         # lowest ready index first: once 2 releases 0, 0 precedes 3
         assert order == [2, 0, 3, 1]
 
+    def test_one_function_everywhere(self):
+        import sbcn
+        import sbcn.model
+
+        assert topological_order is sbcn.topological_order is sbcn.model.topological_order
+
+    def test_cycle_raises(self):
+        class Cyclic:  # Dag refuses cycles, so hand the order a raw graph
+            n, edges = 3, {(0, 1), (1, 2), (2, 1)}
+
+        with pytest.raises(ValueError, match="graph contains a directed cycle"):
+            topological_order(Cyclic())
+
     def test_market_truth_orders_factors_before_stocks(self):
         spec = market_factor_spec(seed=0)
         order = topological_order(ground_truth_dag(spec))
