@@ -16,7 +16,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .model import ModelSchemaError, _dumps_indent2
+from .model import ModelSchemaError, _distinct_rows, _dumps_indent2
 
 RISKY = "risky"
 PROFITABLE = "profitable"
@@ -45,6 +45,9 @@ class Portfolio:
         object.__setattr__(self, "weights", arr)
         if self.weights.shape != (len(self.stock_indices),):
             raise ValueError("one weight per stock index required")
+        for i, w in zip(self.stock_indices, self.weights.tolist()):
+            if not math.isfinite(w):
+                raise ValueError(f"weight of stock {i} is {w}; weights must be finite")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if self.weights.sum() <= 0:
@@ -234,46 +237,12 @@ def learn_tree(
     n_features = features.shape[1]
     if max_depth is None:
         max_depth = n_features
-    patterns, risky, counts = _distinct_rows(features.astype(bool), labels)
+    # the label is column 0 of each grouped row, feature f column f + 1
+    rows, counts = _distinct_rows([labels, *features.astype(bool).T], len(labels))
     root = _grow(
-        patterns, risky, counts, frozenset(range(n_features)), max_depth, min_leaf, min_gain
+        rows[:, 1:], rows[:, 0], counts, frozenset(range(n_features)), max_depth, min_leaf, min_gain
     )
     return DecisionTree(root)
-
-
-def _distinct_rows(features: np.ndarray, labels: np.ndarray):
-    """The distinct (feature pattern, label) rows of a bool matrix and the
-    int64 count of each.
-
-    Each row is packed into an int64 code, the label at bit 0 and feature f
-    above it, and the codes are grouped by one ``np.unique``.  A code holds
-    63 bits, so wider rows are re-densified on the way: once the code is
-    full, it is replaced by its rank among the distinct codes so far, and the
-    ranks' values are kept to decode the distinct rows afterwards.
-    """
-    n_features = features.shape[1]
-    code = labels.astype(np.int64)
-    stages = [(None, 1, 0)]  # (prefix values, prefix bits, first column) per code
-    width = 1
-    for f in range(n_features):
-        if width == 63:
-            prefix, inverse = np.unique(code, return_inverse=True)
-            code = inverse.astype(np.int64)
-            width = (len(prefix) - 1).bit_length()
-            stages.append((prefix, width, f))
-        code |= np.left_shift(features[:, f], width, dtype=np.int64)
-        width += 1
-    code, counts = np.unique(code, return_counts=True)
-    patterns = np.empty((len(code), n_features), dtype=bool)
-    stop = n_features
-    for prefix, bits, start in reversed(stages):
-        for f in range(start, stop):
-            patterns[:, f] = (code >> (bits + f - start)) & 1
-        code = code & ((1 << bits) - 1)
-        if prefix is not None:
-            code = prefix[code]
-        stop = start
-    return patterns, code.astype(bool), counts
 
 
 def _grow(

@@ -84,6 +84,14 @@ class SweepConfig:
                 raise ModelSchemaError(f"unknown criterion {crit!r}")
         if self.repetitions < 1:
             raise ModelSchemaError("repetitions must be >= 1")
+        if self.bootstrap_replicates < 1:
+            raise ModelSchemaError("bootstrap_replicates must be >= 1")
+        if self.max_iterations < 1:
+            raise ModelSchemaError("max_iterations must be >= 1")
+        if self.restarts < 0:
+            raise ModelSchemaError("restarts must be >= 0")
+        if not self.smoothing >= 0:
+            raise ModelSchemaError("smoothing must be >= 0")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ModelSchemaError("confidence_threshold must lie in [0, 1]")
         if self.penalty not in PENALTIES:

@@ -12,6 +12,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,42 @@ def _as_binary_matrix(values) -> np.ndarray:
     return out
 
 
+def _distinct_rows(columns, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``m``-long 0/1 columns, as a column-major bool
+    matrix, and the int64 count of each.
+
+    ``columns`` is a sequence of 1-D arrays; a matrix's transpose serves.
+    Each row is packed into an int64 code, column j at bit j, and the codes
+    are grouped by one ``np.unique``, so the rows come out in increasing code
+    order.  A code holds 63 bits, so wider rows are re-densified on the way:
+    once the code is full, it is replaced by its rank among the distinct
+    codes so far, and the ranks' values are kept to decode the distinct rows
+    afterwards.
+    """
+    code = np.zeros(m, dtype=np.int64)
+    stages = [(None, 0, 0)]  # (prefix values, prefix bits, first column) per code
+    width = 0
+    for j, column in enumerate(columns):
+        if width == 63:
+            prefix, inverse = np.unique(code, return_inverse=True)
+            code = inverse.astype(np.int64)
+            width = (len(prefix) - 1).bit_length()
+            stages.append((prefix, width, j))
+        code |= np.left_shift(column, width, dtype=np.int64)
+        width += 1
+    code, counts = np.unique(code, return_counts=True)
+    rows = np.empty((len(code), len(columns)), dtype=bool, order="F")
+    stop = len(columns)
+    for prefix, bits, start in reversed(stages):
+        # column-major, so no transposing copy on the way
+        rows[:, start:stop] = ((code >> np.arange(bits, bits + stop - start)[:, None]) & 1).T
+        code = code & ((1 << bits) - 1)
+        if prefix is not None:
+            code = prefix[code]
+        stop = start
+    return rows, counts
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryDataset:
     """m observations of n binary variables, with a temporal rank per variable.
@@ -126,6 +163,17 @@ class BinaryDataset:
 
     def column(self, i: int) -> np.ndarray:
         return self.values[:, i]
+
+    @cached_property
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows, as a read-only column-major bool matrix, and
+        the int64 count of each.  Grouped on first use and kept, so every
+        count over this dataset (a search, its CPT fit, a log-likelihood)
+        groups the rows once."""
+        rows, counts = _distinct_rows(self.values.T, self.m)
+        rows.setflags(write=False)
+        counts.setflags(write=False)
+        return rows, counts
 
     def to_csv(self) -> str:
         if self.n == 0:

@@ -45,6 +45,11 @@ class TestPortfolio:
         with pytest.raises(ValueError):
             Portfolio([0, 1], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_names_the_stock(self, bad):
+        with pytest.raises(ValueError, match=f"weight of stock 7 is {bad}; weights must be finite"):
+            Portfolio([3, 7], [1.0, bad])
+
 
 class TestUpCount:
     def test_all_up_equals_total_weight(self):

@@ -128,6 +128,16 @@ class TestSweepConfig:
         with pytest.raises(ModelSchemaError, match="bootstrap entries must be true or false"):
             tiny_config(bootstrap=entries)
 
+    @pytest.mark.parametrize("key, value, rule", [
+        ("max_iterations", 0, ">= 1"),
+        ("restarts", -1, ">= 0"),
+        ("smoothing", -0.5, ">= 0"),
+        ("bootstrap_replicates", 0, ">= 1"),
+    ])
+    def test_search_settings_checked_when_parsed(self, key, value, rule):
+        with pytest.raises(ModelSchemaError, match=f"^{key} must be {rule}$"):
+            tiny_config(**{key: value})
+
     def test_json_booleans_accepted(self):
         config = tiny_config(
             bootstrap=[False, True], generator={"mode": "sparse", "signed_loadings": False}

@@ -192,6 +192,20 @@ CROSSOVER_GOLDEN = {
 PARAMETERS_BOOTSTRAP_GOLDEN = "590197440118e9c96567c4afe70d3ced654157b59e14f17a07673901b7daed44"
 
 
+# Bootstrap on 5000 rows, so every resampled learn is past the packed
+# kernel's row cap; recorded before the score kernel counted distinct rows.
+LARGE_BOOTSTRAP_GOLDEN = {
+    "sbcn": "2086e54f7a0c9ae08ffaa5bcea2ddafefbcc6335af67eaf44f748b05cf2cd04e",
+    "bn": "a9059e872ed75a603c39f9c3e3dacb9a4c9ddf9df8de6ebcbe774f399060df89",
+}
+
+
+@pytest.mark.parametrize("learner", sorted(LARGE_BOOTSTRAP_GOLDEN))
+def test_large_bootstrap_report_digest(datasets, learner):
+    report = edge_confidence(datasets["ff5000"], LearnOptions(seed=3), replicates=4, learner=learner)
+    assert sha256(report.to_json()) == LARGE_BOOTSTRAP_GOLDEN[learner]
+
+
 @pytest.mark.parametrize("case", sorted(CROSSOVER_GOLDEN))
 def test_crossover_model_digest(case):
     name, learner, penalty = case.split("-")

@@ -42,7 +42,7 @@ from sbcn.learn import (
     _PACKED_MAX_PARENTS,
     _PACKED_MAX_ROWS,
     _climb_once,
-    _data_matrix,
+    _grouped_rows,
     _node_counts,
     _ScoreTable,
 )
@@ -378,12 +378,12 @@ class TestCountKernel:
         values[:, 13] = 0  # constant columns: half the configurations
         values[:, 14] = 1  # of any parent set holding them go unobserved
         ds = dataset(values)
-        x = _data_matrix(ds)
+        x, counts = _grouped_rows(ds)
         for q in range(13):
             v = int(rng.integers(0, 15))
             others = [c for c in range(15) if c != v]
             parents = tuple(int(p) for p in rng.choice(others, size=q, replace=False))
-            total, ones = _node_counts(x, v, parents)
+            total, ones = _node_counts(x, v, parents, counts)
             want_total, want_ones = direct_counts(values, v, parents)
             assert total.dtype == ones.dtype == np.float64
             assert np.array_equal(total, want_total)
@@ -392,6 +392,11 @@ class TestCountKernel:
 
 def float_bits(x):
     return struct.pack("<d", x)
+
+
+def full_matrix(ds):
+    """Every row of the data as column-major float64, the oracle's input."""
+    return ds.values.astype(np.float64, order="F")
 
 
 # Column marginals: the two ends give constant columns, whose complement
@@ -419,10 +424,10 @@ class TestPackedKernel:
         others = [c for c in range(ds.n) if c != v]
         parents = tuple(data.draw(st.permutations(others))[:q])
         table = _ScoreTable(ds)
-        want = node_ll_oracle(_data_matrix(ds), v, parents)
+        want = node_ll_oracle(full_matrix(ds), v, parents)
         assert float_bits(table.node_ll(v, parents)) == float_bits(want)
         assert float_bits(table.node_ll(v, tuple(sorted(parents)))) == float_bits(
-            node_ll_oracle(_data_matrix(ds), v, tuple(sorted(parents)))
+            node_ll_oracle(full_matrix(ds), v, tuple(sorted(parents)))
         )
 
     @settings(max_examples=60, deadline=None)
@@ -436,7 +441,7 @@ class TestPackedKernel:
         ds = dataset((rng.random((m, len(marginals))) < marginals).astype(np.uint8))
         n = ds.n
         dag = Dag(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
-        x = _data_matrix(ds)
+        x = full_matrix(ds)
         want = sum(node_ll_oracle(x, v, dag.parents(v)) for v in range(n))
         assert float_bits(log_likelihood(ds, dag)) == float_bits(want)
 
@@ -448,13 +453,107 @@ class TestPackedKernel:
         for t in range(1, 6):
             for c1 in range(t + 1):
                 column = dataset([[1]] * c1 + [[0]] * (t - c1))
-                want = node_ll_oracle(_data_matrix(column), 0, ())
+                want = node_ll_oracle(full_matrix(column), 0, ())
                 assert float_bits(rows[t][c1]) == float_bits(want)
 
     def test_term_rows_stay_within_the_row_cap(self):
         for m in (5, _PACKED_MAX_ROWS, _PACKED_MAX_ROWS + 1):
             _ScoreTable(dataset(np.ones((m, 2), dtype=int))).node_ll(0, (1,))
         assert len(sbcn.learn._TERM_ROWS) == _PACKED_MAX_ROWS + 1
+
+
+def grouping_data(seed, m, width, repeats):
+    """m rows of at least ``width`` 0/1 columns, some of them constant.
+
+    With ``repeats`` every row is one of a few patterns, so rows repeat many
+    times over; without, a few columns spell out each row's number, so every
+    row is distinct.
+    """
+    rng = np.random.default_rng(seed)
+    if repeats:
+        pool = rng.integers(0, 2, size=(int(rng.integers(1, 9)), width))
+        values = pool[rng.integers(0, len(pool), size=m)]
+        free = np.arange(width)
+    else:
+        bits = max(1, (m - 1).bit_length())
+        width = max(width, bits + 1)
+        values = rng.integers(0, 2, size=(m, width))
+        order = rng.permutation(width)
+        ids, free = order[:bits], order[bits:]
+        number = rng.permutation(m)
+        for b, column in enumerate(ids):
+            values[:, column] = (number >> b) & 1
+    constant = free[rng.random(len(free)) < 0.2]
+    values[:, constant] = rng.integers(0, 2, size=len(constant))
+    return dataset(values)
+
+
+def random_dag(rng, n, max_parents=14):
+    """Each node takes up to ``max_parents`` parents among the nodes before
+    it in a random order."""
+    order = rng.permutation(n)
+    edges = []
+    for i, v in enumerate(order):
+        q = int(rng.integers(0, min(i, max_parents) + 1))
+        edges += [(int(u), int(v)) for u in rng.choice(order[:i], size=q, replace=False)]
+    return Dag(n, edges)
+
+
+GROUPING_ROWS = st.sampled_from([1, 1023, _PACKED_MAX_ROWS, _PACKED_MAX_ROWS + 1, 2048, 5000])
+# narrow rows, and rows past the 63 bits one int64 code holds
+GROUPING_WIDTHS = st.one_of(st.integers(1, 20), st.integers(60, 70))
+
+
+class TestGroupedKernel:
+    """Counts over the distinct rows, each weighted by how often it occurs,
+    give every score and table of counting all rows, bit for bit: with many
+    repeated rows or none, constant columns, 0 to 14 parents and codes wider
+    than one int64."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=GROUPING_ROWS, width=GROUPING_WIDTHS, repeats=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_node_ll_bit_equal(self, m, width, repeats, seed):
+        ds = grouping_data(seed, m, width, repeats)
+        rng = np.random.default_rng(seed)
+        table = _ScoreTable(ds)
+        x = full_matrix(ds)
+        for q in range(min(15, ds.n)):
+            v = int(rng.integers(0, ds.n))
+            others = [c for c in range(ds.n) if c != v]
+            parents = tuple(int(p) for p in rng.permutation(others)[:q])
+            want = node_ll_oracle(x, v, parents)
+            assert float_bits(table.node_ll(v, parents)) == float_bits(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=GROUPING_ROWS, width=GROUPING_WIDTHS, repeats=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_log_likelihood_bit_equal(self, m, width, repeats, seed):
+        ds = grouping_data(seed, m, width, repeats)
+        dag = random_dag(np.random.default_rng(seed), ds.n)
+        x = full_matrix(ds)
+        want = sum(node_ll_oracle(x, v, dag.parents(v)) for v in range(ds.n))
+        assert float_bits(log_likelihood(ds, dag)) == float_bits(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=GROUPING_ROWS, width=GROUPING_WIDTHS, repeats=st.booleans(),
+           smoothing=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_fit_cpts_tables_bit_equal(self, m, width, repeats, smoothing, seed):
+        ds = grouping_data(seed, m, width, repeats)
+        rng = np.random.default_rng(seed)
+        dag = random_dag(rng, ds.n)
+        model = fit_cpts(ds, dag, smoothing)
+        # direct counts are a row loop: check the largest parent set and a
+        # few other nodes
+        widest = max(range(ds.n), key=lambda v: len(dag.parents(v)))
+        for v in {widest, *rng.choice(ds.n, size=min(3, ds.n), replace=False).tolist()}:
+            parents = dag.parents(v)
+            total, ones = direct_counts(ds.values, v, parents)
+            denom = total + 2.0 * smoothing
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = (ones + smoothing) / denom
+            want[denom == 0] = 0.5
+            assert model.cpt(v).table.tobytes() == want.tobytes()
 
 
 class TestClimbOracle:

@@ -99,6 +99,30 @@ class TestBinaryDataset:
         with pytest.raises(ValueError):
             ds.values[0, 0] = 1
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(1, 300),
+        n=st.sampled_from([0, 1, 2, 15, 62, 63, 64, 65, 70, 126, 127, 130]),
+        patterns=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distinct_rows_count_every_row(self, m, n, patterns, seed):
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 2, size=(patterns, n))
+        values = pool[rng.integers(0, patterns, size=m)]
+        ds = BinaryDataset(values, [f"c{i}" for i in range(n)], [0] * n)
+        rows, counts = ds.distinct_rows
+        want: dict[tuple[int, ...], int] = {}
+        for row in values.tolist():
+            want[tuple(row)] = want.get(tuple(row), 0) + 1
+        got = {tuple(int(c) for c in row): int(k) for row, k in zip(rows, counts)}
+        assert len(got) == len(rows)  # no row listed twice
+        assert got == want
+        assert rows.dtype == bool and counts.dtype == np.int64
+        assert ds.distinct_rows is ds.distinct_rows  # grouped once
+        with pytest.raises(ValueError):
+            rows[0, 0] = True
+
 
 class TestDatasetCsv:
     def test_round_trip(self):
