@@ -51,9 +51,22 @@ def _log(message: str) -> None:
 
 
 def _fraction(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
     return value
 
 
@@ -221,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="arcs",
         help="complexity measure in the score: arc count or free CPT parameters",
     )
-    p.add_argument("--bootstrap", type=int, default=0, metavar="B", help="replicates; 0 disables")
+    p.add_argument("--bootstrap", type=_count, default=0, metavar="B", help="replicates; 0 disables")
     p.add_argument("--confidence", type=_fraction, default=0.5, help="bootstrap pruning threshold")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iterations", type=int, default=10000)
@@ -229,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothing", type=float, default=1.0)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-report", help="bootstrap confidence JSON to write")
-    p.add_argument("--threads", type=int, default=0,
+    p.add_argument("--threads", type=_count, default=0,
                    help="worker processes for bootstrap replicates (0 = all cores)")
     p.set_defaults(func=_cmd_infer)
 
@@ -256,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the benchmark grid from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=0, help="worker processes (0 = all cores)")
+    p.add_argument("--threads", type=_count, default=0, help="worker processes (0 = all cores)")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -10,6 +10,7 @@ filter disabled (every ordered pair allowed) is provided for comparison.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,7 +71,7 @@ class LearnOptions:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
-        if self.smoothing < 0:
+        if not self.smoothing >= 0:  # NaN fails this test too
             raise ValueError("smoothing must be >= 0")
         if self.tp_mode not in TP_MODES:
             raise ValueError(f"tp_mode must be one of {TP_MODES}, got {self.tp_mode!r}")
@@ -341,7 +342,7 @@ def fit_cpts(dataset: BinaryDataset, dag: Dag, smoothing: float = 1.0) -> SbcnMo
     """
     if dag.n != dataset.n:
         raise ValueError(f"structure has {dag.n} nodes, dataset has {dataset.n}")
-    if smoothing < 0:
+    if not smoothing >= 0:  # NaN fails this test too
         raise ValueError("smoothing must be >= 0")
     x, counts = _grouped_rows(dataset)
     cpts = []
@@ -357,7 +358,8 @@ def fit_cpts(dataset: BinaryDataset, dag: Dag, smoothing: float = 1.0) -> SbcnMo
 
 
 def _reaches(children: list[set[int]], src: int, dst: int) -> bool:
-    """True iff dst is reachable from src along directed edges."""
+    """True iff dst is reachable from src along directed edges.  The climb
+    reads descendant bitsets instead; this DFS is their reference."""
     if src == dst:
         return True
     stack = [src]
@@ -373,16 +375,56 @@ def _reaches(children: list[set[int]], src: int, dst: int) -> bool:
     return False
 
 
+def _add_descendants(desc: list[int], u: int, v: int) -> None:
+    """Update descendant bitsets in place for a new arc u -> v.
+
+    Bit b of ``desc[a]`` is set iff a path of one or more arcs leads from a
+    to b.  The new paths are those through u -> v, so u and every node that
+    reaches u gain v and v's descendants.
+    """
+    reach = desc[v] | 1 << v
+    for a, d in enumerate(desc):
+        if a == u or d >> u & 1:
+            desc[a] = d | reach
+
+
+def _descendants(children: list[set[int]], desc: list[int]) -> list[int]:
+    """Descendant bitsets of the graph ``children``, given ``desc``, those
+    of a graph that holds every arc of it (the graph before a removal).
+
+    In a DAG a node has strictly more descendants than any of its children,
+    so ascending order of the old counts visits every child before its
+    parents, in the old graph and in any subgraph of it.
+    """
+    new = [0] * len(desc)
+    for a in sorted(range(len(desc)), key=lambda a: desc[a].bit_count()):
+        d = 0
+        for c in children[a]:
+            d |= new[c] | 1 << c
+        new[a] = d
+    return new
+
+
 def _climb_once(
     table: _ScoreTable,
     candidates: list[tuple[int, int]],
     options: LearnOptions,
     seed: int,
 ) -> tuple[frozenset[tuple[int, int]], float, str, int]:
-    """One hill climb from the empty graph.
+    """One hill climb from the empty graph over distinct candidate arcs.
 
     Returns the arcs, their score, why the climb stopped ("optimum",
     "streak" or "cap") and how many proposals it made.
+
+    A toggle's score change depends only on its child's parents, their
+    score and whether the arc is in the graph, and all three change only
+    when a toggle at that child is accepted.  So each child keeps a
+    version, bumped on every accept there, and a pick scored and rejected
+    at the child's current version is rejected again without rebuilding
+    its parent set or looking up its score.  An addition
+    u -> v closes a cycle iff v reaches u, read from descendant bitsets kept
+    with the graph.  Neither changes a draw or a decision, only the work
+    spent on each.
     """
     m, n = table.m, table.n
     w, unit = _score_weights(options.criterion, m, options.aic_conventional)
@@ -390,14 +432,23 @@ def _climb_once(
 
     parents: list[tuple[int, ...]] = [() for _ in range(n)]
     node_ll = [table.node_ll(v, ()) for v in range(n)]
-    children: list[set[int]] = [set() for _ in range(n)]
-    current: set[tuple[int, int]] = set()
     score = w * sum(node_ll) - unit * n * _node_cost(0, penalty)
     if not candidates:
         return frozenset(), score, "optimum", 0
 
-    rng = np.random.default_rng(seed)
     n_cand = len(candidates)
+    cand_u = [u for u, _ in candidates]
+    cand_v = [v for _, v in candidates]
+    present = [False] * n_cand  # is the pick's arc in the graph
+    children: list[set[int]] = [set() for _ in range(n)]
+    desc = [0] * n  # descendant bitsets, see _add_descendants
+    version = [0] * n  # accepts so far at each node
+    stamp = [-1] * n_cand  # the child's version when the pick was last rejected
+    # cost[q]: complexity of a node with q parents, up to the most candidate
+    # parents any node has
+    cost = [_node_cost(q, penalty) for q in range(max(Counter(cand_v).values()) + 1)]
+
+    rng = np.random.default_rng(seed)
     buffer = rng.integers(0, n_cand, size=4096).tolist()
     buf_pos = 0
 
@@ -430,18 +481,15 @@ def _climb_once(
                 break
             if pick in cyclic:
                 continue
-            u, v = candidates[pick]
-            if (u, v) in current or not _reaches(children, v, u):
+            if present[pick] or not desc[cand_v[pick]] >> cand_u[pick] & 1:
                 break
             cyclic.add(pick)
             settled += 1
         else:
-            # never empty: an arc in ``current`` can always be removed, and
+            # never empty: an arc in the graph can always be removed, and
             # on the empty graph no addition closes a cycle
             valid = [
-                i
-                for i, (a, b) in enumerate(candidates)
-                if (a, b) in current or not _reaches(children, b, a)
+                i for i in range(n_cand) if present[i] or not desc[cand_v[i]] >> cand_u[i] & 1
             ]
             pick = valid[rng.integers(0, len(valid))]
 
@@ -449,41 +497,44 @@ def _climb_once(
         if pick in rejected:
             rejects_in_a_row += 1
             continue
-        u, v = candidates[pick]
-        adding = (u, v) not in current
-        if adding:
-            new_parents = tuple(sorted(parents[v] + (u,)))
-        else:
-            new_parents = tuple(p for p in parents[v] if p != u)
-        new_ll = table.node_ll(v, new_parents)
-        delta = w * (new_ll - node_ll[v]) - unit * (
-            _node_cost(len(new_parents), penalty) - _node_cost(len(parents[v]), penalty)
-        )
-        if delta > 0:
-            parents[v] = new_parents
-            node_ll[v] = new_ll
-            if adding:
-                current.add((u, v))
-                children[u].add(v)
+        v = cand_v[pick]
+        if stamp[pick] != version[v]:
+            u = cand_u[pick]
+            old = parents[v]
+            if present[pick]:
+                new_parents = tuple(p for p in old if p != u)
             else:
-                current.discard((u, v))
-                children[u].discard(v)
-            score += delta
-            rejects_in_a_row = 0
-            rejected.clear()
-            cyclic.clear()
-            settled = 0
-        else:
-            rejects_in_a_row += 1
-            rejected.add(pick)
-            settled += 1
+                new_parents = tuple(sorted(old + (u,)))
+            new_ll = table.node_ll(v, new_parents)
+            delta = w * (new_ll - node_ll[v]) - unit * (cost[len(new_parents)] - cost[len(old)])
+            if delta > 0:
+                version[v] += 1
+                parents[v] = new_parents
+                node_ll[v] = new_ll
+                if present[pick]:
+                    children[u].discard(v)
+                    desc = _descendants(children, desc)
+                else:
+                    children[u].add(v)
+                    _add_descendants(desc, u, v)
+                present[pick] = not present[pick]
+                score += delta
+                rejects_in_a_row = 0
+                rejected.clear()
+                cyclic.clear()
+                settled = 0
+                continue
+            stamp[pick] = version[v]
+        rejects_in_a_row += 1
+        rejected.add(pick)
+        settled += 1
     if settled == n_cand:
         stop = "optimum"
     elif rejects_in_a_row >= options.max_iterations:
         stop = "streak"
     else:
         stop = "cap"
-    return frozenset(current), score, stop, proposals
+    return frozenset(e for e, on in zip(candidates, present) if on), score, stop, proposals
 
 
 def hill_climb(dataset: BinaryDataset, allowed: EdgeSet, options: LearnOptions) -> Dag:
@@ -499,10 +550,13 @@ def hill_climb(dataset: BinaryDataset, allowed: EdgeSet, options: LearnOptions) 
     returns exactly what the longer rejection streak would.  For the same
     reason a repeat of a pick rejected since the last accept counts as a
     proposal and a rejection without being scored again, and a repeat of a
-    pick found to close a cycle is redrawn without another cycle check; the
-    draws, proposal count, stop and result are those of the full search.
-    With restarts, the best-scoring run wins (ties keep the earliest
-    restart).
+    pick found to close a cycle is redrawn without another cycle check.
+    A toggle's score change depends only on its child's parents, so a pick
+    rejected is not scored again until a toggle at its child is accepted,
+    even across accepts elsewhere; and the cycle check reads descendant
+    bitsets kept up to date on every accept.  The draws, proposal count,
+    stop and result are those of the full search.  With restarts, the
+    best-scoring run wins (ties keep the earliest restart).
     """
     if allowed.n != dataset.n:
         raise ValueError(f"candidate set has {allowed.n} nodes, dataset has {dataset.n}")

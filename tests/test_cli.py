@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sbcn.bootstrap import edge_confidence
 from sbcn.cli import main
 from sbcn.datagen import ground_truth_dag, market_factor_spec, simulate_dataset
 from sbcn.learn import fit_cpts
@@ -137,6 +138,51 @@ class TestInfer:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--threads", "-3", "argument --threads: -3 is negative"),
+        ("--bootstrap", "-2", "argument --bootstrap: -2 is negative"),
+        ("--bootstrap", "2.5", "argument --bootstrap: '2.5' is not an integer"),
+        ("--confidence", "abc", "argument --confidence: 'abc' is not a number"),
+    ])
+    def test_bad_number_usage_error(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            run(["infer", "--data", "x.csv", f"{flag}={value}", "--out-model", "m.json"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_counts_keep_their_meaning(self, tmp_path, monkeypatch):
+        data_path = tmp_path / "data.csv"
+        run(["simulate", "--samples", 200, "--seed", 1, "--out-data", data_path])
+        args = ["infer", "--data", data_path, "--seed", 2, "--max-iterations", 100]
+        # --bootstrap 0 turns the bootstrap off, as does leaving it out
+        assert run(args + ["--bootstrap", 0, "--out-model", tmp_path / "a.json"]) == 0
+        assert run(args + ["--out-model", tmp_path / "b.json"]) == 0
+        assert read(tmp_path / "a.json") == read(tmp_path / "b.json")
+        assert SbcnModel.from_json(read(tmp_path / "a.json")).confidence is None
+        # --threads 0 means every core
+        seen = []
+
+        def serial(*args, threads, **kwargs):
+            seen.append(threads)
+            return edge_confidence(*args, threads=1, **kwargs)
+
+        monkeypatch.setattr("sbcn.cli.os.cpu_count", lambda: 3)
+        monkeypatch.setattr("sbcn.cli.edge_confidence", serial)
+        assert run(args + ["--bootstrap", 2, "--threads", 0, "--out-model", tmp_path / "c.json"]) == 0
+        assert seen == [3]
+
+    def test_nan_smoothing_fails_before_the_search(self, tmp_path, capsys, monkeypatch):
+        data_path = tmp_path / "data.csv"
+        run(["simulate", "--samples", 200, "--seed", 1, "--out-data", data_path])
+        capsys.readouterr()
+        searched = []
+        monkeypatch.setattr("sbcn.cli.learn_model", lambda *a: searched.append(a))
+        assert run(["infer", "--data", data_path, "--smoothing", "nan",
+                    "--out-model", tmp_path / "m.json"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: smoothing must be >= 0"]
+        assert searched == []
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_data_file(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n0,2\n")
@@ -242,6 +288,13 @@ class TestSweep:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"generator": {"mode": "sparse"}}))
         assert run(["sweep", "--config", path, "--out", tmp_path / "o.csv"]) == 1
+
+    def test_negative_threads_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--config", self.config(tmp_path), "--out", tmp_path / "o.csv",
+                 "--threads=-1"])
+        assert exc.value.code == 2
+        assert "argument --threads: -1 is negative" in capsys.readouterr().err
 
     def test_rerun_and_threads_byte_identical(self, tmp_path):
         cfg = self.config(tmp_path)

@@ -19,6 +19,7 @@ from oracles import (
     prima_facie_oracle,
     tiny_linear_dataset,
 )
+from sbcn.datagen import generate_instance
 from sbcn.learn import (
     CRITERIA,
     LEARNERS,
@@ -41,9 +42,14 @@ from sbcn.learn import (
 from sbcn.learn import (
     _PACKED_MAX_PARENTS,
     _PACKED_MAX_ROWS,
+    _add_descendants,
     _climb_once,
+    _descendants,
     _grouped_rows,
+    _node_cost,
     _node_counts,
+    _reaches,
+    _score_weights,
     _ScoreTable,
 )
 from sbcn.model import BinaryDataset, Dag, has_cycle
@@ -179,6 +185,11 @@ class TestFitCpts:
         ds = dataset([[1], [1], [0]])
         model = fit_cpts(ds, Dag(1), smoothing=1)
         assert model.cpt(0).table[0] == (2 + 1) / (3 + 2)
+
+    @pytest.mark.parametrize("smoothing", [-0.1, float("nan")])
+    def test_bad_smoothing_names_the_cause(self, smoothing):
+        with pytest.raises(ValueError, match=r"^smoothing must be >= 0$"):
+            fit_cpts(dataset([[0, 1], [1, 1]]), Dag(2, [(0, 1)]), smoothing)
 
     def test_model_carries_rank_and_names(self):
         ds = dataset([[0, 1]], rank=[0, 1], names=["f", "s"])
@@ -596,6 +607,151 @@ class TestClimbOracle:
         assert got[2:] == want[2:]
 
 
+def chain_data(seed, m, n):
+    """Each column after the first copies one earlier column, or the OR of
+    two, with 20% noise.  Arcs pay off, and an arc added early for a
+    dependence that runs through other nodes is often removed later."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2, size=(m, n))
+    for j in range(1, n):
+        sources = rng.choice(j, size=min(j, int(rng.integers(1, 3))), replace=False)
+        src = values[:, sources].max(axis=1)
+        values[:, j] = np.where(rng.random(m) < 0.2, 1 - src, src)
+    return dataset(values), rng
+
+
+class TestDescendantBitsets:
+    """The climb's descendant bitsets agree with the DFS reference,
+    ``_reaches``, after any sequence of accepted additions and removals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        chain=st.booleans(),
+        toggles=st.lists(st.tuples(st.integers(0, 11), st.integers(1, 11)), max_size=80),
+    )
+    def test_equal_reaches(self, n, chain, toggles):
+        children = [set() for _ in range(n)]
+        desc = [0] * n
+        # starting from the chain 0 -> 1 -> ... -> n-1, removals cut paths
+        # of every length
+        start = [(u, 1) for u in range(n - 1)] if chain else []
+        for u, offset in start + toggles:
+            u %= n
+            v = (u + offset) % n
+            if u == v:
+                continue
+            if v in children[u]:
+                children[u].discard(v)
+                desc = _descendants(children, desc)
+            else:
+                closes = bool(desc[v] >> u & 1)
+                assert closes == _reaches(children, v, u)
+                if closes:
+                    continue
+                children[u].add(v)
+                _add_descendants(desc, u, v)
+            for a in range(n):
+                assert not desc[a] >> a & 1
+                for b in range(n):
+                    if a != b:
+                        assert bool(desc[a] >> b & 1) == _reaches(children, a, b)
+
+
+class TestClimbOracleLargeGraphs:
+    """As TestClimbOracle, on up to 12 nodes with dense candidate sets that
+    hold both directions of most pairs: removals are accepted, and cached
+    rejections must survive, or expire on, many accepts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.sampled_from([40, 250]),
+        n=st.integers(6, 12),
+        arc_share=st.floats(0.6, 1.0),
+        max_iterations=st.sampled_from([1, 5, 2000]),
+        criterion=st.sampled_from(CRITERIA),
+        penalty=st.sampled_from(PENALTIES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_oracle(self, m, n, arc_share, max_iterations, criterion, penalty, seed):
+        ds, rng = chain_data(seed, m, n)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        candidates = [e for e in pairs if rng.random() < arc_share]
+        options = LearnOptions(criterion=criterion, penalty=penalty, max_iterations=max_iterations)
+        got = _climb_once(_ScoreTable(ds), candidates, options, seed)
+        want = climb_once_oracle(ScoreTableOracle(ds), candidates, options, seed)
+        assert got[0] == want[0]
+        assert float_bits(got[1]) == float_bits(want[1])
+        assert got[2:] == want[2:]
+
+
+class LookupLog(_ScoreTable):
+    """Records every score lookup with the score it returned."""
+
+    def __init__(self, ds):
+        super().__init__(ds)
+        self.log = []
+
+    def node_ll(self, v, parents):
+        ll = super().node_ll(v, parents)
+        self.log.append((v, parents, ll))
+        return ll
+
+
+class TestLookupsPerState:
+    @staticmethod
+    def replay(table, options):
+        """The accepts a climb's lookups imply, checking that no (child,
+        parent set) key is looked up twice between two accepts at that
+        child.  After the first n lookups (the empty parent sets), each
+        lookup scores one toggle at its child, accepted iff it raises the
+        score.  Returns the final arcs and the number of accepted removals."""
+        w, unit = _score_weights(options.criterion, table.m, options.aic_conventional)
+        n = table.n
+        assert [(v, p) for v, p, _ in table.log[:n]] == [(v, ()) for v in range(n)]
+        parents = [()] * n
+        lls = [ll for *_, ll in table.log[:n]]
+        seen = [set() for _ in range(n)]
+        removals = 0
+        for v, new, ll in table.log[n:]:
+            assert new not in seen[v], f"node {v}, parents {new} scored twice in one state"
+            seen[v].add(new)
+            assert len(set(new) ^ set(parents[v])) == 1  # one arc toggled
+            delta = w * (ll - lls[v]) - unit * (
+                _node_cost(len(new), options.penalty) - _node_cost(len(parents[v]), options.penalty)
+            )
+            if delta > 0:
+                removals += len(new) < len(parents[v])
+                parents[v], lls[v] = new, ll
+                seen[v].clear()
+        return {(u, v) for v in range(n) for u in parents[v]}, removals
+
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    def test_dense_candidates(self, penalty):
+        removals = 0
+        for seed in range(12):
+            ds, _ = chain_data(seed, 250, 10)
+            candidates = [(u, v) for u in range(10) for v in range(10) if u != v]
+            options = LearnOptions(penalty=penalty, max_iterations=2000)
+            table = LookupLog(ds)
+            edges, *_ = _climb_once(table, candidates, options, seed)
+            replayed, accepted = self.replay(table, options)
+            assert replayed == edges
+            removals += accepted
+        assert removals > 0
+
+    def test_sparse_regime_prima_facie(self):
+        # the sweep's setting: sparse 30-variable instances, 250 rows,
+        # prima facie candidates and the free-parameter penalty
+        for seed in range(3):
+            _, _, ds = generate_instance("sparse", {}, 250, seed)
+            candidates = sorted(prima_facie_edges(ds).edges)
+            options = LearnOptions(penalty="parameters", max_iterations=2000)
+            table = LookupLog(ds)
+            edges, *_ = _climb_once(table, candidates, options, seed)
+            assert self.replay(table, options)[0] == edges
+
+
 class TestStopReason:
     def test_famafrench_default_stops_at_certified_optimum(self):
         ds = famafrench(400)
@@ -716,8 +872,9 @@ class TestLearners:
             LearnOptions(max_iterations=0)
         with pytest.raises(ValueError):
             LearnOptions(restarts=-1)
-        with pytest.raises(ValueError):
-            LearnOptions(smoothing=-0.1)
+        for smoothing in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"^smoothing must be >= 0$"):
+                LearnOptions(smoothing=smoothing)
         with pytest.raises(ValueError):
             LearnOptions(tp_mode="time")
         with pytest.raises(ValueError):
