@@ -62,6 +62,16 @@ def resample(dataset: BinaryDataset, seed: int) -> BinaryDataset:
     return BinaryDataset(dataset.values[idx], dataset.names, dataset.rank)
 
 
+def _fan_out(fn, tasks: list, threads: int | None) -> list:
+    """``[fn(t) for t in tasks]``: serially when ``threads`` <= 1, otherwise
+    on that many worker processes (None uses all cores), one task at a time
+    per worker.  Results come back in task order either way."""
+    if threads is not None and threads <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))
+
+
 def _replicate_edges(args) -> frozenset[tuple[int, int]]:
     dataset, options, learner, b = args
     rep_data = resample(dataset, derive_seed(options.seed, 1, b))
@@ -93,11 +103,7 @@ def edge_confidence(
         raise ValueError("replicates must be >= 1")
     learned = learn_structure(dataset, options, learner) if model is None else model.dag
     tasks = [(dataset, options, learner, b) for b in range(replicates)]
-    if threads is not None and threads <= 1:
-        edge_sets = [_replicate_edges(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            edge_sets = list(pool.map(_replicate_edges, tasks))
+    edge_sets = _fan_out(_replicate_edges, tasks, threads)
     counts: dict[tuple[int, int], int] = {e: 0 for e in sorted(learned.edges)}
     for edges in edge_sets:
         for e in sorted(edges):

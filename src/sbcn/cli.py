@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 from .bootstrap import edge_confidence, prune
 from .classifier import (
@@ -85,13 +86,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_infer(args) -> int:
     data = BinaryDataset.from_csv(_read(args.data))
+    # each search flag is named after the LearnOptions field it sets
     options = LearnOptions(
-        criterion=args.criterion,
-        max_iterations=args.max_iterations,
-        restarts=args.restarts,
-        smoothing=args.smoothing,
-        seed=args.seed,
-        penalty=args.penalty,
+        **{f.name: getattr(args, f.name) for f in fields(LearnOptions) if f.name in args}
     )
     model = learn_model(data, options, args.learner)
     _log(f"learned {len(model.dag.edges)} arcs with {args.learner}/{args.criterion}")
@@ -100,7 +97,8 @@ def _cmd_infer(args) -> int:
         report = edge_confidence(
             data, options, args.bootstrap, model=model, learner=args.learner, threads=threads
         )
-        model = prune(model, report, data, args.confidence, args.smoothing)
+        report = replace(report, threshold=args.confidence)
+        model = prune(model, report, data, args.confidence, options.smoothing)
         _log(
             f"bootstrap B={args.bootstrap}, threshold {args.confidence}: "
             f"{len(model.dag.edges)} arcs survive"
@@ -217,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic data with known ground truth")
     p.add_argument("--mode", choices=GENERATOR_MODES, default="famafrench")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--spec", help="JSON file of generator parameter overrides")
     p.add_argument("--out-data", required=True, help="dataset CSV to write")
@@ -227,19 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="learn a causal network from a dataset CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--learner", choices=LEARNERS, default="sbcn")
-    p.add_argument("--criterion", choices=CRITERIA, default="bic")
+    p.add_argument("--criterion", choices=CRITERIA, default=LearnOptions.criterion)
     p.add_argument(
         "--penalty",
         choices=PENALTIES,
-        default="arcs",
+        default=LearnOptions.penalty,
         help="complexity measure in the score: arc count or free CPT parameters",
     )
     p.add_argument("--bootstrap", type=_count, default=0, metavar="B", help="replicates; 0 disables")
     p.add_argument("--confidence", type=_fraction, default=0.5, help="bootstrap pruning threshold")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iterations", type=int, default=10000)
-    p.add_argument("--restarts", type=int, default=0)
-    p.add_argument("--smoothing", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=LearnOptions.seed)
+    p.add_argument("--max-iterations", type=int, default=LearnOptions.max_iterations)
+    p.add_argument("--restarts", type=int, default=LearnOptions.restarts)
+    p.add_argument("--smoothing", type=float, default=LearnOptions.smoothing)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-report", help="bootstrap confidence JSON to write")
     p.add_argument("--threads", type=_count, default=0,
@@ -248,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stress", help="sample stressed scenarios from a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--samples-for-tree", type=int, default=1000)
+    p.add_argument("--samples-for-tree", type=_count, default=1000)
     p.add_argument("--risky-fraction", type=_fraction, default=0.1)
     picker = p.add_mutually_exclusive_group()
     picker.add_argument("--path-index", type=int, default=0,
                         help="which risky tree path to clamp")
     picker.add_argument("--clamp", help='manual scenario, e.g. "SMB=0,Km=0" (skips the tree)')
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-scenarios", required=True)
     p.add_argument("--out-tree")

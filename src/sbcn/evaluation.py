@@ -9,14 +9,13 @@ averaged error rates with standard errors, as CSV and as a plain table.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bootstrap import edge_confidence, prune
+from .bootstrap import _fan_out, edge_confidence, prune
 from .datagen import generate_instance, generator_params
-from .learn import CRITERIA, LEARNERS, PENALTIES, LearnOptions, learn_model
+from .learn import LearnOptions, _candidate_rule, learn_model
 from .model import ContingencyStats, Dag, ModelSchemaError, float_repr
 from .seeds import derive_seed
 
@@ -51,9 +50,19 @@ def roc_upper_envelope(points) -> list[tuple[float, float]]:
     return out
 
 
+def _typed(obj: dict, defaults, keys) -> dict:
+    """The entries of ``obj`` under ``keys``, each cast to the type of the
+    same-named attribute of ``defaults``."""
+    return {k: type(getattr(defaults, k))(obj[k]) for k in keys if k in obj}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Cross-product benchmark description; see ``from_json`` for the schema."""
+    """Cross-product benchmark description; see ``from_json`` for the schema.
+
+    ``search`` holds the search settings every cell shares; each cell sets
+    its own criterion and seed on it.
+    """
 
     generator: dict
     sample_sizes: tuple[int, ...]
@@ -64,38 +73,30 @@ class SweepConfig:
     seed: int
     bootstrap_replicates: int = 100
     confidence_threshold: float = 0.5
-    max_iterations: int = 10000
-    restarts: int = 0
-    smoothing: float = 1.0
-    penalty: str = "arcs"
+    search: LearnOptions = LearnOptions()
 
     REQUIRED = ("generator", "sample_sizes", "criteria", "bootstrap", "learners", "repetitions", "seed")
+    OPTIONAL = ("bootstrap_replicates", "confidence_threshold")
+    #: Config keys that set the ``LearnOptions`` field of the same name.
+    SEARCH = ("max_iterations", "restarts", "smoothing", "penalty")
 
     def __post_init__(self):
         try:
             generator_params(self.generator.get("mode"), self.generator_params)
+            for learner in self.learners:
+                _candidate_rule(learner)
+            for crit in self.criteria:
+                replace(self.search, criterion=crit)
         except ValueError as exc:
             raise ModelSchemaError(str(exc)) from None
-        for learner in self.learners:
-            if learner not in LEARNERS:
-                raise ModelSchemaError(f"unknown learner {learner!r}")
-        for crit in self.criteria:
-            if crit not in CRITERIA:
-                raise ModelSchemaError(f"unknown criterion {crit!r}")
+        if any(size < 1 for size in self.sample_sizes):
+            raise ModelSchemaError(f"sample_sizes entries must be >= 1, got {list(self.sample_sizes)}")
         if self.repetitions < 1:
             raise ModelSchemaError("repetitions must be >= 1")
         if self.bootstrap_replicates < 1:
             raise ModelSchemaError("bootstrap_replicates must be >= 1")
-        if self.max_iterations < 1:
-            raise ModelSchemaError("max_iterations must be >= 1")
-        if self.restarts < 0:
-            raise ModelSchemaError("restarts must be >= 0")
-        if not self.smoothing >= 0:
-            raise ModelSchemaError("smoothing must be >= 0")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ModelSchemaError("confidence_threshold must lie in [0, 1]")
-        if self.penalty not in PENALTIES:
-            raise ModelSchemaError(f"unknown penalty {self.penalty!r}")
 
     @property
     def generator_params(self) -> dict:
@@ -115,6 +116,11 @@ class SweepConfig:
             raise ModelSchemaError(f"config is missing keys: {', '.join(missing)}")
         if not all(isinstance(b, bool) for b in obj["bootstrap"]):
             raise ModelSchemaError(f"bootstrap entries must be true or false, got {obj['bootstrap']!r}")
+        try:
+            optional = _typed(obj, cls, cls.OPTIONAL)
+            search = LearnOptions(**_typed(obj, LearnOptions, cls.SEARCH))
+        except (TypeError, ValueError) as exc:
+            raise ModelSchemaError(str(exc)) from None
         return cls(
             generator=dict(obj["generator"]),
             sample_sizes=tuple(int(s) for s in obj["sample_sizes"]),
@@ -123,12 +129,8 @@ class SweepConfig:
             learners=tuple(str(l) for l in obj["learners"]),
             repetitions=int(obj["repetitions"]),
             seed=int(obj["seed"]),
-            bootstrap_replicates=int(obj.get("bootstrap_replicates", 100)),
-            confidence_threshold=float(obj.get("confidence_threshold", 0.5)),
-            max_iterations=int(obj.get("max_iterations", 10000)),
-            restarts=int(obj.get("restarts", 0)),
-            smoothing=float(obj.get("smoothing", 1.0)),
-            penalty=str(obj.get("penalty", "arcs")),
+            search=search,
+            **optional,
         )
 
 
@@ -180,17 +182,18 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class _SweepRep:
-    """What one repetition of one cell needs besides its ``LearnOptions``."""
+    """One repetition of one cell."""
 
     config: SweepConfig
     learner: str
     bootstrap: bool
     sample_size: int
     data_seed: int
+    options: LearnOptions
 
 
-def _sweep_rep(rep: _SweepRep, options: LearnOptions) -> dict[str, float]:
-    config = rep.config
+def _sweep_rep(rep: _SweepRep) -> dict[str, float]:
+    config, options = rep.config, rep.options
     _, truth, data = generate_instance(
         config.generator["mode"], config.generator_params, rep.sample_size, rep.data_seed
     )
@@ -219,29 +222,16 @@ def run_sweep(config: SweepConfig, threads: int | None = None, log=None) -> Swee
         for boot in config.bootstrap
         for size in config.sample_sizes
     ]
-    reps: list[_SweepRep] = []
-    options: list[LearnOptions] = []
+    reps: list[_SweepRep] = []  # cell by cell, repetitions in order
     for learner, criterion, boot, size in cells:
         size_idx = config.sample_sizes.index(size)
         for rep in range(config.repetitions):
-            reps.append(
-                _SweepRep(config, learner, boot, size, derive_seed(config.seed, 0, size_idx, rep))
+            options = replace(
+                config.search, criterion=criterion, seed=derive_seed(config.seed, 1, size_idx, rep)
             )
-            options.append(LearnOptions(
-                criterion=criterion,
-                max_iterations=config.max_iterations,
-                restarts=config.restarts,
-                smoothing=config.smoothing,
-                seed=derive_seed(config.seed, 1, size_idx, rep),
-                penalty=config.penalty,
-            ))
-
-    # map keeps the task order: cell by cell, repetitions in order
-    if threads is not None and threads <= 1:
-        results = list(map(_sweep_rep, reps, options))
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_rep, reps, options, chunksize=1))
+            data_seed = derive_seed(config.seed, 0, size_idx, rep)
+            reps.append(_SweepRep(config, learner, boot, size, data_seed, options))
+    results = _fan_out(_sweep_rep, reps, threads)
 
     rows = []
     for cell_idx, (learner, criterion, boot, size) in enumerate(cells):

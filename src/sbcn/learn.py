@@ -37,6 +37,12 @@ class EmptyStratumError(ValueError):
     """A conditional probability was requested on an empty stratum."""
 
 
+def _check_choice(what: str, value, choices) -> None:
+    """Reject a ``value`` not among ``choices``, naming both."""
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; choose from {', '.join(choices)}")
+
+
 @dataclass(frozen=True)
 class LearnOptions:
     """Knobs for the structure search.
@@ -65,18 +71,15 @@ class LearnOptions:
     penalty: str = "arcs"
 
     def __post_init__(self):
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
+        _check_choice("criterion", self.criterion, CRITERIA)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
         if not self.smoothing >= 0:  # NaN fails this test too
             raise ValueError("smoothing must be >= 0")
-        if self.tp_mode not in TP_MODES:
-            raise ValueError(f"tp_mode must be one of {TP_MODES}, got {self.tp_mode!r}")
-        if self.penalty not in PENALTIES:
-            raise ValueError(f"penalty must be one of {PENALTIES}, got {self.penalty!r}")
+        _check_choice("tp_mode", self.tp_mode, TP_MODES)
+        _check_choice("penalty", self.penalty, PENALTIES)
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,7 @@ def prima_facie_edges(dataset: BinaryDataset, tp_mode: str = "rank") -> EdgeSet:
     (ties go to the lower-index source), so the output never carries
     2-cycles between equally ranked variables.
     """
-    if tp_mode not in TP_MODES:
-        raise ValueError(f"tp_mode must be one of {TP_MODES}, got {tp_mode!r}")
+    _check_choice("tp_mode", tp_mode, TP_MODES)
     values = dataset.values.astype(np.float64)
     m, n = values.shape
     ones = values.sum(axis=0)
@@ -324,10 +326,8 @@ def regularized_score(
     ``aic_conventional``).  k is the arc count, or the free-parameter
     count with ``penalty="parameters"``.
     """
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    if penalty not in PENALTIES:
-        raise ValueError(f"penalty must be one of {PENALTIES}, got {penalty!r}")
+    _check_choice("criterion", criterion, CRITERIA)
+    _check_choice("penalty", penalty, PENALTIES)
     w, unit = _score_weights(criterion, dataset.m, aic_conventional)
     k = sum(_node_cost(len(dag.parents(v)), penalty) for v in range(dag.n))
     return w * log_likelihood(dataset, dag) - unit * k
@@ -590,10 +590,8 @@ LEARNERS = {"sbcn": _prima_facie_rule, "bn": _all_pairs_rule}
 
 
 def _candidate_rule(learner: str):
-    try:
-        return LEARNERS[learner]
-    except KeyError:
-        raise ValueError(f"unknown learner {learner!r}; choose from {', '.join(LEARNERS)}") from None
+    _check_choice("learner", learner, LEARNERS)
+    return LEARNERS[learner]
 
 
 def learn_structure(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -619,7 +618,6 @@ def _dumps_indent2(obj, level: int = 0) -> str:
 
 
 def float_repr(x: float) -> str:
-    """Shortest decimal text that round-trips the float exactly."""
-    if isinstance(x, float) and math.isfinite(x):
-        return repr(x)
+    """Shortest decimal text that round-trips ``float(x)`` exactly, for a
+    Python or numpy number alike."""
     return repr(float(x))

@@ -10,8 +10,8 @@ import pytest
 from sbcn.bootstrap import edge_confidence
 from sbcn.cli import main
 from sbcn.datagen import ground_truth_dag, market_factor_spec, simulate_dataset
-from sbcn.learn import fit_cpts
-from sbcn.model import BinaryDataset, SbcnModel, dag_from_json
+from sbcn.learn import LearnOptions, fit_cpts
+from sbcn.model import BinaryDataset, Dag, SbcnModel, dag_from_json
 
 
 def run(args):
@@ -183,6 +183,38 @@ class TestInfer:
         assert searched == []
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("flags, expected", [
+        ([], LearnOptions()),
+        (["--criterion", "aic", "--penalty", "parameters", "--seed", 3, "--max-iterations", 5,
+          "--restarts", 1, "--smoothing", 0.5],
+         LearnOptions(criterion="aic", penalty="parameters", seed=3, max_iterations=5,
+                      restarts=1, smoothing=0.5)),
+    ])
+    def test_search_flags_build_learn_options(self, tmp_path, monkeypatch, flags, expected):
+        data_path = tmp_path / "data.csv"
+        run(["simulate", "--samples", 50, "--seed", 1, "--out-data", data_path])
+        seen = []
+
+        def recording(data, options, learner):
+            seen.append(options)
+            return fit_cpts(data, Dag(data.n), options.smoothing)
+
+        monkeypatch.setattr("sbcn.cli.learn_model", recording)
+        assert run(["infer", "--data", data_path, *flags, "--out-model", tmp_path / "m.json"]) == 0
+        assert seen == [expected]
+
+    def test_report_records_the_pruning_threshold(self, tmp_path):
+        data_path = tmp_path / "data.csv"
+        run(["simulate", "--samples", 300, "--seed", 1, "--out-data", data_path])
+        out_model, out_report = tmp_path / "m.json", tmp_path / "r.json"
+        assert run(["infer", "--data", data_path, "--bootstrap", 3, "--confidence", 0.9,
+                    "--seed", 2, "--max-iterations", 200, "--out-model", out_model,
+                    "--out-report", out_report]) == 0
+        report = json.loads(read(out_report))
+        assert report["threshold"] == 0.9
+        confidence = SbcnModel.from_json(read(out_model)).confidence
+        assert all(c >= 0.9 for c in confidence.values())
+
     def test_bad_data_file(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n0,2\n")
@@ -234,6 +266,21 @@ class TestStress:
     def test_path_index_out_of_range(self, tmp_path, model_file):
         assert run(["stress", "--model", model_file, "--path-index", 99,
                     "--count", 5, "--out-scenarios", tmp_path / "s.csv"]) == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("stress", "--count", "-5"),
+        ("stress", "--samples-for-tree", "-5"),
+        ("simulate", "--samples", "-3"),
+    ])
+    def test_negative_count_usage_error(self, tmp_path, capsys, model_file, command, flag, value):
+        out = tmp_path / "out.csv"
+        required = {"stress": ["--model", model_file, "--out-scenarios", out],
+                    "simulate": ["--samples", 10, "--out-data", out]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *required, f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {value} is negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path, model_file):
         args = ["stress", "--model", model_file, "--count", 20, "--seed", 8,

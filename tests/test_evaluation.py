@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from sbcn.evaluation import (
+    RATE_FIELDS,
     SweepConfig,
+    SweepReport,
+    SweepRow,
     arc_contingency,
     roc_point,
     roc_upper_envelope,
     run_sweep,
 )
+from sbcn.learn import LearnOptions, fit_cpts
 from sbcn.model import Dag, ModelSchemaError
 
 
@@ -138,6 +142,37 @@ class TestSweepConfig:
         with pytest.raises(ModelSchemaError, match=f"^{key} must be {rule}$"):
             tiny_config(**{key: value})
 
+    @pytest.mark.parametrize("sizes", [[-5], [0], [100, 0]])
+    def test_sample_sizes_checked_when_parsed(self, sizes):
+        with pytest.raises(ModelSchemaError, match=r"^sample_sizes entries must be >= 1"):
+            tiny_config(sample_sizes=sizes)
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iterations", "many"),
+        ("restarts", None),
+        ("smoothing", [1]),
+        ("bootstrap_replicates", "x"),
+        ("confidence_threshold", {}),
+    ])
+    def test_ill_typed_setting_is_a_schema_error(self, key, value):
+        with pytest.raises(ModelSchemaError):
+            tiny_config(**{key: value})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"criteria": ["bic", "mdl"]}, "unknown criterion 'mdl'; choose from bic, aic"),
+        ({"penalty": "edges"}, "unknown penalty 'edges'; choose from arcs, parameters"),
+        ({"learners": ["pc"]}, "unknown learner 'pc'; choose from sbcn, bn"),
+    ])
+    def test_unknown_choice_message(self, overrides, message):
+        with pytest.raises(ModelSchemaError) as exc:
+            tiny_config(**overrides)
+        assert str(exc.value) == message
+
+    def test_search_keys_build_learn_options(self):
+        assert tiny_config().search == LearnOptions(max_iterations=200)
+        settings = {"max_iterations": 7, "restarts": 2, "smoothing": 0.5, "penalty": "parameters"}
+        assert tiny_config(**settings).search == LearnOptions(**settings)
+
     def test_json_booleans_accepted(self):
         config = tiny_config(
             bootstrap=[False, True], generator={"mode": "sparse", "signed_loadings": False}
@@ -200,8 +235,46 @@ class TestRunSweep:
         report = run_sweep(config, threads=1)
         assert len(report.rows) == 1
 
+    @pytest.mark.parametrize("settings", [
+        {},
+        {"max_iterations": 7},
+        {"restarts": 1},
+        {"smoothing": 0.25},
+        {"penalty": "parameters"},
+        {"max_iterations": 30, "restarts": 2, "smoothing": 0.0, "penalty": "parameters"},
+    ])
+    def test_search_settings_reach_every_replicate(self, monkeypatch, settings):
+        seen = []
+
+        def recording(data, options, learner):
+            seen.append(options)
+            return fit_cpts(data, Dag(data.n), options.smoothing)
+
+        monkeypatch.setattr("sbcn.evaluation.learn_model", recording)
+        base = {"generator": {"mode": "sparse", "n_factors": 3, "n_stocks": 3},
+                "sample_sizes": [60, 80], "criteria": ["bic", "aic"], "bootstrap": [False],
+                "learners": ["sbcn"], "repetitions": 2, "seed": 4}
+        run_sweep(SweepConfig.from_json(json.dumps({**base, **settings})), threads=1)
+        assert len(seen) == 2 * 2 * 2
+        assert [o.criterion for o in seen] == ["bic"] * 4 + ["aic"] * 4
+        # the search seed follows the (sample size, repetition), not the cell
+        assert len({o.seed for o in seen}) == 4
+        assert [o.seed for o in seen[:4]] == [o.seed for o in seen[4:]]
+        for options in seen:
+            expected = LearnOptions(**settings, criterion=options.criterion, seed=options.seed)
+            assert options == expected
+
     def test_log_line_per_cell(self):
         lines = []
         run_sweep(tiny_config(repetitions=1), threads=1, log=lines.append)
         assert len(lines) == 1
         assert "learner=sbcn" in lines[0]
+
+
+class TestSweepReport:
+    def test_numpy_means_are_written_as_plain_floats(self):
+        values = {f: np.float64(0.25) for f in RATE_FIELDS}
+        errors = {f: np.float32(0.5) for f in RATE_FIELDS}
+        row = SweepRow("sbcn", "bic", False, 100, values, errors, 1, 0)
+        cells = SweepReport((row,)).to_csv().splitlines()[1].split(",")
+        assert cells[4:12] == ["0.25"] * 4 + ["0.5"] * 4

@@ -19,6 +19,7 @@ from sbcn.model import (
     CsvFormatError,
     _canonical_csv,
     _dumps_indent2,
+    float_repr,
     scenarios_to_csv,
 )
 
@@ -243,3 +244,21 @@ class TestCsvNames:
             scenarios_to_csv(np.zeros((1, 2), dtype=np.uint8), ["#rank:x", "b"])
         later = BinaryDataset([[0, 1]], ["b", "#rank:x"], [0, 1])
         assert BinaryDataset.from_csv(later.to_csv()) == later
+
+
+class TestFloatRepr:
+    @pytest.mark.parametrize("value, text", [
+        (np.float64(0.25), "0.25"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (0.1, "0.1"),
+        (3, "3.0"),
+        (np.int64(-2), "-2.0"),
+        (float("inf"), "inf"),
+        (-np.inf, "-inf"),
+        (float("nan"), "nan"),
+        (np.float64("nan"), "nan"),
+    ])
+    def test_text_round_trips(self, value, text):
+        assert float_repr(value) == text
+        if text != "nan":
+            assert float(text) == float(value)

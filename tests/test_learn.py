@@ -881,6 +881,26 @@ class TestLearners:
             LearnOptions(penalty="edges")
 
 
+
+class TestUnknownChoice:
+    """Every unknown criterion, penalty, tp_mode and learner gets one message
+    form, naming the value and the choices."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda ds: LearnOptions(criterion="mdl"), "unknown criterion 'mdl'; choose from bic, aic"),
+        (lambda ds: LearnOptions(penalty="edges"), "unknown penalty 'edges'; choose from arcs, parameters"),
+        (lambda ds: LearnOptions(tp_mode="time"), "unknown tp_mode 'time'; choose from rank, marginal"),
+        (lambda ds: regularized_score(ds, Dag(2), "mdl"), "unknown criterion 'mdl'; choose from bic, aic"),
+        (lambda ds: regularized_score(ds, Dag(2), penalty="edges"),
+         "unknown penalty 'edges'; choose from arcs, parameters"),
+        (lambda ds: prima_facie_edges(ds, "time"), "unknown tp_mode 'time'; choose from rank, marginal"),
+        (lambda ds: learn_structure(ds, LearnOptions(), "pc"), "unknown learner 'pc'; choose from sbcn, bn"),
+    ])
+    def test_one_message_form(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(dataset([[0, 1], [1, 0]]))
+        assert str(exc.value) == message
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_prima_facie_rank_property(data):
