@@ -9,6 +9,7 @@ refit on the original data for the reduced structure.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -30,6 +31,8 @@ class BootstrapReport:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not 0.0 <= self.threshold <= 1.0:  # NaN fails this test too
+            raise ValueError(f"threshold is {self.threshold}, outside [0, 1]")
         for edge, c in self.confidence.items():
             if not 0.0 <= c <= 1.0:
                 raise ValueError(f"confidence for arc {edge} is {c}, outside [0, 1]")
@@ -64,9 +67,11 @@ def resample(dataset: BinaryDataset, seed: int) -> BinaryDataset:
 
 def _fan_out(fn, tasks: list, threads: int | None) -> list:
     """``[fn(t) for t in tasks]``: serially when ``threads`` <= 1, otherwise
-    on that many worker processes (None uses all cores), one task at a time
-    per worker.  Results come back in task order either way."""
-    if threads is not None and threads <= 1:
+    on that many worker processes (0 or None uses all cores, so a 1-core
+    host runs serially), one task at a time per worker.  Results come back
+    in task order either way."""
+    threads = threads or os.cpu_count() or 1
+    if threads <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
@@ -94,7 +99,7 @@ def edge_confidence(
     plus any arc retrieved in at least one replicate.  Replicate seeds are
     derived from ``options.seed``, and aggregation is a fixed-order
     reduction, so the report is reproducible and independent of ``threads``
-    (worker processes; None uses all cores).  ``learner`` names the entry
+    (worker processes; 0 or None uses all cores).  ``learner`` names the entry
     of ``sbcn.learn.LEARNERS`` that produced ``model`` ("sbcn" or the
     unconstrained baseline "bn").  Only arcs are counted, so every learn
     here is ``learn_structure``: no CPTs are fitted.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields, replace
 
@@ -71,6 +70,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = _count(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return value
+
+
 def _cmd_simulate(args) -> int:
     params = json.loads(_read(args.spec)) if args.spec else {}
     if not isinstance(params, dict):
@@ -93,9 +99,9 @@ def _cmd_infer(args) -> int:
     model = learn_model(data, options, args.learner)
     _log(f"learned {len(model.dag.edges)} arcs with {args.learner}/{args.criterion}")
     if args.bootstrap > 0:
-        threads = args.threads if args.threads else (os.cpu_count() or 1)
         report = edge_confidence(
-            data, options, args.bootstrap, model=model, learner=args.learner, threads=threads
+            data, options, args.bootstrap, model=model, learner=args.learner,
+            threads=args.threads or None,
         )
         report = replace(report, threshold=args.confidence)
         model = prune(model, report, data, args.confidence, options.smoothing)
@@ -132,6 +138,8 @@ def _parse_clamp(text: str, model: SbcnModel) -> dict[int, int]:
             raise ValueError(f"unknown variable {name!r} in --clamp")
         if value.strip() not in ("0", "1"):
             raise ValueError(f"clamp value for {name} must be 0 or 1")
+        if index[name] in assignment:
+            raise ValueError(f"variable {name!r} named twice in --clamp")
         assignment[index[name]] = int(value)
     if not assignment:
         raise ValueError("--clamp parsed to an empty assignment")
@@ -199,8 +207,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = SweepConfig.from_json(_read(args.config))
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
-    report = run_sweep(config, threads=threads, log=_log)
+    report = run_sweep(config, threads=args.threads or None, log=_log)
     _write(args.out, report.to_csv())
     _log(report.to_text())
     return 0
@@ -215,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic data with known ground truth")
     p.add_argument("--mode", choices=GENERATOR_MODES, default="famafrench")
-    p.add_argument("--samples", type=_count, required=True)
+    p.add_argument("--samples", type=_positive, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--spec", help="JSON file of generator parameter overrides")
     p.add_argument("--out-data", required=True, help="dataset CSV to write")

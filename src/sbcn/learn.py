@@ -357,24 +357,6 @@ def fit_cpts(dataset: BinaryDataset, dag: Dag, smoothing: float = 1.0) -> SbcnMo
     return SbcnModel(dag, cpts, dataset.rank, names=dataset.names)
 
 
-def _reaches(children: list[set[int]], src: int, dst: int) -> bool:
-    """True iff dst is reachable from src along directed edges.  The climb
-    reads descendant bitsets instead; this DFS is their reference."""
-    if src == dst:
-        return True
-    stack = [src]
-    seen = {src}
-    while stack:
-        node = stack.pop()
-        for nxt in children[node]:
-            if nxt == dst:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
 def _add_descendants(desc: list[int], u: int, v: int) -> None:
     """Update descendant bitsets in place for a new arc u -> v.
 
@@ -388,20 +370,21 @@ def _add_descendants(desc: list[int], u: int, v: int) -> None:
             desc[a] = d | reach
 
 
-def _descendants(children: list[set[int]], desc: list[int]) -> list[int]:
-    """Descendant bitsets of the graph ``children``, given ``desc``, those
-    of a graph that holds every arc of it (the graph before a removal).
+def _descendants(parents: list[tuple[int, ...]], desc: list[int]) -> list[int]:
+    """Descendant bitsets of the graph with parent tuples ``parents``, given
+    ``desc``, those of a graph that holds every arc of it (the graph before
+    a removal).
 
     In a DAG a node has strictly more descendants than any of its children,
     so ascending order of the old counts visits every child before its
-    parents, in the old graph and in any subgraph of it.
+    parents, in the old graph and in any subgraph of it: each node's set is
+    final when it is visited and pushed to its parents.
     """
     new = [0] * len(desc)
-    for a in sorted(range(len(desc)), key=lambda a: desc[a].bit_count()):
-        d = 0
-        for c in children[a]:
-            d |= new[c] | 1 << c
-        new[a] = d
+    for c in sorted(range(len(desc)), key=lambda a: desc[a].bit_count()):
+        reach = new[c] | 1 << c
+        for p in parents[c]:
+            new[p] |= reach
     return new
 
 
@@ -416,15 +399,12 @@ def _climb_once(
     Returns the arcs, their score, why the climb stopped ("optimum",
     "streak" or "cap") and how many proposals it made.
 
-    A toggle's score change depends only on its child's parents, their
-    score and whether the arc is in the graph, and all three change only
-    when a toggle at that child is accepted.  So each child keeps a
-    version, bumped on every accept there, and a pick scored and rejected
-    at the child's current version is rejected again without rebuilding
-    its parent set or looking up its score.  An addition
-    u -> v closes a cycle iff v reaches u, read from descendant bitsets kept
-    with the graph.  Neither changes a draw or a decision, only the work
-    spent on each.
+    Each node keeps a version, bumped on every accept there, and each pick
+    the child's version when it was last rejected: a toggle's score change
+    depends only on its child's parents, so while the two match the pick is
+    rejected again without being scored.  An addition u -> v closes a cycle
+    iff bit u of v's descendant bitset is on.  Neither changes a draw or a
+    decision, only the work spent on each.
     """
     m, n = table.m, table.n
     w, unit = _score_weights(options.criterion, m, options.aic_conventional)
@@ -440,7 +420,6 @@ def _climb_once(
     cand_u = [u for u, _ in candidates]
     cand_v = [v for _, v in candidates]
     present = [False] * n_cand  # is the pick's arc in the graph
-    children: list[set[int]] = [set() for _ in range(n)]
     desc = [0] * n  # descendant bitsets, see _add_descendants
     version = [0] * n  # accepts so far at each node
     stamp = [-1] * n_cand  # the child's version when the pick was last rejected
@@ -452,20 +431,16 @@ def _climb_once(
     buffer = rng.integers(0, n_cand, size=4096).tolist()
     buf_pos = 0
 
-    # Candidates rejected, and candidates redrawn as cycle-closing, since the
-    # last accept.  The state and the cached scores do not change between
-    # accepts, so a repeat of either gets the same answer without the work:
-    # a rejected pick is rejected again, a cyclic pick is redrawn again.
-    # Once the two cover every candidate, every later proposal would be
-    # rejected too: the climb sits at a certified local optimum.
-    rejected: set[int] = set()
-    cyclic: set[int] = set()
-    settled = 0  # len(rejected) + len(cyclic)
+    # Candidates rejected or found to close a cycle since the last accept.
+    # The graph does not change between accepts, so once this covers every
+    # candidate no later proposal could be accepted: the climb sits at a
+    # certified local optimum.
+    settled: set[int] = set()
     proposals = 0
     rejects_in_a_row = 0
     max_proposals = 100 * options.max_iterations
     while (
-        settled < n_cand
+        len(settled) < n_cand
         and rejects_in_a_row < options.max_iterations
         and proposals < max_proposals
     ):
@@ -477,14 +452,9 @@ def _climb_once(
                 buf_pos = 0
             pick = buffer[buf_pos]
             buf_pos += 1
-            if pick in rejected:
-                break
-            if pick in cyclic:
-                continue
             if present[pick] or not desc[cand_v[pick]] >> cand_u[pick] & 1:
                 break
-            cyclic.add(pick)
-            settled += 1
+            settled.add(pick)
         else:
             # never empty: an arc in the graph can always be removed, and
             # on the empty graph no addition closes a cycle
@@ -494,9 +464,6 @@ def _climb_once(
             pick = valid[rng.integers(0, len(valid))]
 
         proposals += 1
-        if pick in rejected:
-            rejects_in_a_row += 1
-            continue
         v = cand_v[pick]
         if stamp[pick] != version[v]:
             u = cand_u[pick]
@@ -512,23 +479,18 @@ def _climb_once(
                 parents[v] = new_parents
                 node_ll[v] = new_ll
                 if present[pick]:
-                    children[u].discard(v)
-                    desc = _descendants(children, desc)
+                    desc = _descendants(parents, desc)
                 else:
-                    children[u].add(v)
                     _add_descendants(desc, u, v)
                 present[pick] = not present[pick]
                 score += delta
                 rejects_in_a_row = 0
-                rejected.clear()
-                cyclic.clear()
-                settled = 0
+                settled.clear()
                 continue
             stamp[pick] = version[v]
         rejects_in_a_row += 1
-        rejected.add(pick)
-        settled += 1
-    if settled == n_cand:
+        settled.add(pick)
+    if len(settled) == n_cand:
         stop = "optimum"
     elif rejects_in_a_row >= options.max_iterations:
         stop = "streak"
@@ -547,16 +509,11 @@ def hill_climb(dataset: BinaryDataset, allowed: EdgeSet, options: LearnOptions) 
     proposals, or as soon as every candidate arc has been rejected (or found
     to close a cycle) since the last accept.  That last stop is a certified
     local optimum: no later proposal could be accepted, so stopping there
-    returns exactly what the longer rejection streak would.  For the same
-    reason a repeat of a pick rejected since the last accept counts as a
-    proposal and a rejection without being scored again, and a repeat of a
-    pick found to close a cycle is redrawn without another cycle check.
-    A toggle's score change depends only on its child's parents, so a pick
-    rejected is not scored again until a toggle at its child is accepted,
-    even across accepts elsewhere; and the cycle check reads descendant
-    bitsets kept up to date on every accept.  The draws, proposal count,
-    stop and result are those of the full search.  With restarts, the
-    best-scoring run wins (ties keep the earliest restart).
+    returns exactly what the longer rejection streak would.  A rejected pick
+    is not scored again until a toggle at its child is accepted (README,
+    "Search notes"), so the draws, proposal count, stop and result are those
+    of the full search.  With restarts, the best-scoring run wins (ties keep
+    the earliest restart).
     """
     if allowed.n != dataset.n:
         raise ValueError(f"candidate set has {allowed.n} nodes, dataset has {dataset.n}")

@@ -382,7 +382,7 @@ class Cpt:
             raise ValueError(
                 f"table has {self.table.size} entries, expected {2 ** len(self.parents)}"
             )
-        if self.table.size and ((self.table < 0.0) | (self.table > 1.0)).any():
+        if not ((self.table >= 0.0) & (self.table <= 1.0)).all():  # NaN fails too
             raise ValueError("table entries must lie in [0, 1]")
 
     def config_index(self, parent_values) -> int:

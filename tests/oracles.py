@@ -16,7 +16,6 @@ from sbcn.learn import (
     LOG_EPS,
     _node_cost,
     _node_counts,
-    _reaches,
     _score_weights,
     regularized_score,
 )
@@ -45,6 +44,24 @@ def dfs_cycle_oracle(n, edges):
         return False
 
     return any(color[u] == 0 and visit(u) for u in range(n))
+
+
+def _reaches(children: list[set[int]], src: int, dst: int) -> bool:
+    """True iff dst is reachable from src along directed edges.  The climb
+    reads descendant bitsets instead; this DFS is their reference."""
+    if src == dst:
+        return True
+    stack = [src]
+    seen = {src}
+    while stack:
+        node = stack.pop()
+        for nxt in children[node]:
+            if nxt == dst:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
 
 
 def prima_facie_oracle(ds):

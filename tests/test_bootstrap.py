@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import make_dataset as dataset
-from sbcn.bootstrap import BootstrapReport, edge_confidence, prune, resample
+from sbcn.bootstrap import BootstrapReport, _fan_out, edge_confidence, prune, resample
 from sbcn.learn import LearnOptions, fit_cpts, learn_bn, learn_sbcn
 from sbcn.model import Dag, ModelSchemaError
 
@@ -175,3 +175,25 @@ class TestReportJson:
             BootstrapReport(0, {})
         with pytest.raises(ValueError):
             BootstrapReport(5, {(0, 1): 1.2})
+
+    @pytest.mark.parametrize("threshold", [5.0, -0.1, float("nan")])
+    def test_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match=r"threshold is .*, outside \[0, 1\]"):
+            BootstrapReport(1, {}, threshold=threshold)
+
+    def test_nan_threshold_json_is_a_schema_error(self):
+        text = '{"replicates": 1, "threshold": NaN, "confidence": []}'
+        with pytest.raises(ModelSchemaError, match="threshold"):
+            BootstrapReport.from_json(text)
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("cores", [1, None])
+    @pytest.mark.parametrize("threads", [None, 0])
+    def test_all_cores_of_a_one_core_host_is_serial(self, monkeypatch, cores, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("sbcn.bootstrap.os.cpu_count", lambda: cores)
+        monkeypatch.setattr("sbcn.bootstrap.ProcessPoolExecutor", no_pool)
+        assert _fan_out(str, [1, 2, 3], threads) == ["1", "2", "3"]

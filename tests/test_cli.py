@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbcn.bootstrap import edge_confidence
 from sbcn.cli import main
 from sbcn.datagen import ground_truth_dag, market_factor_spec, simulate_dataset
 from sbcn.learn import LearnOptions, fit_cpts
@@ -70,6 +69,14 @@ class TestSimulate:
         spec_file.write_text(json.dumps({"volatility": 2}))
         assert run(["simulate", "--samples", 50, "--spec", spec_file,
                     "--out-data", tmp_path / "d.csv"]) == 1
+
+    def test_zero_samples_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--samples", 0, "--out-data", out])
+        assert exc.value.code == 2
+        assert "argument --samples: 0 is not positive" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode, params, message", [
         ("famafrench", {"positive_loadings": "false"},
@@ -162,12 +169,21 @@ class TestInfer:
         # --threads 0 means every core
         seen = []
 
-        def serial(*args, threads, **kwargs):
-            seen.append(threads)
-            return edge_confidence(*args, threads=1, **kwargs)
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
 
-        monkeypatch.setattr("sbcn.cli.os.cpu_count", lambda: 3)
-        monkeypatch.setattr("sbcn.cli.edge_confidence", serial)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("sbcn.bootstrap.os.cpu_count", lambda: 3)
+        monkeypatch.setattr("sbcn.bootstrap.ProcessPoolExecutor", SerialPool)
         assert run(args + ["--bootstrap", 2, "--threads", 0, "--out-model", tmp_path / "c.json"]) == 0
         assert seen == [3]
 
@@ -258,6 +274,13 @@ class TestStress:
     def test_unknown_clamp_name(self, tmp_path, model_file):
         assert run(["stress", "--model", model_file, "--clamp", "NOPE=0",
                     "--count", 5, "--out-scenarios", tmp_path / "s.csv"]) == 1
+
+    def test_clamp_names_a_variable_twice(self, tmp_path, capsys, model_file):
+        out = tmp_path / "s.csv"
+        assert run(["stress", "--model", model_file, "--clamp", "SMB=0,SMB=1",
+                    "--count", 5, "--out-scenarios", out]) == 1
+        assert "error: variable 'SMB' named twice in --clamp" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_risky_fraction_fails(self, tmp_path, model_file):
         assert run(["stress", "--model", model_file, "--risky-fraction", 0,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import sbcn.learn
 from oracles import (
     ScoreTableOracle,
+    _reaches,
     all_dags,
     climb_once_oracle,
     direct_counts,
@@ -48,7 +49,6 @@ from sbcn.learn import (
     _grouped_rows,
     _node_cost,
     _node_counts,
-    _reaches,
     _score_weights,
     _ScoreTable,
 )
@@ -632,6 +632,7 @@ class TestDescendantBitsets:
     )
     def test_equal_reaches(self, n, chain, toggles):
         children = [set() for _ in range(n)]
+        parents = [() for _ in range(n)]
         desc = [0] * n
         # starting from the chain 0 -> 1 -> ... -> n-1, removals cut paths
         # of every length
@@ -643,13 +644,15 @@ class TestDescendantBitsets:
                 continue
             if v in children[u]:
                 children[u].discard(v)
-                desc = _descendants(children, desc)
+                parents[v] = tuple(p for p in parents[v] if p != u)
+                desc = _descendants(parents, desc)
             else:
                 closes = bool(desc[v] >> u & 1)
                 assert closes == _reaches(children, v, u)
                 if closes:
                     continue
                 children[u].add(v)
+                parents[v] = tuple(sorted(parents[v] + (u,)))
                 _add_descendants(desc, u, v)
             for a in range(n):
                 assert not desc[a] >> a & 1
@@ -680,6 +683,55 @@ class TestClimbOracleLargeGraphs:
         options = LearnOptions(criterion=criterion, penalty=penalty, max_iterations=max_iterations)
         got = _climb_once(_ScoreTable(ds), candidates, options, seed)
         want = climb_once_oracle(ScoreTableOracle(ds), candidates, options, seed)
+        assert got[0] == want[0]
+        assert float_bits(got[1]) == float_bits(want[1])
+        assert got[2:] == want[2:]
+
+
+class ScriptedRng:
+    """Stands in for ``np.random.default_rng``: each buffer of picks is
+    ``head`` followed by ``loop`` repeated, and the k-th single draw from
+    [0, high), the climb's fallback pick, returns k % high."""
+
+    def __init__(self, head, loop):
+        self.head, self.loop = head, loop
+        self.single_draws = 0
+
+    def integers(self, low, high, size=None):
+        if size is None:
+            self.single_draws += 1
+            return low + (self.single_draws - 1) % (high - low)
+        picks = self.head + self.loop * size
+        self.head = []
+        return np.array(picks[:size])
+
+
+class TestClimbFallback:
+    """After 8 * n_cand cycle-closing draws in a row the climb picks among
+    the valid toggles directly, and returns what its oracle returns there."""
+
+    @pytest.mark.parametrize("max_iterations", [2, 10000])
+    def test_equals_oracle(self, monkeypatch, max_iterations):
+        rng = np.random.default_rng(22)
+        x0 = rng.integers(0, 2, size=250)
+        x1 = np.where(rng.random(250) < 0.1, 1 - x0, x0)
+        x2 = np.where(rng.random(250) < 0.1, 1 - x1, x1)
+        ds = dataset(np.column_stack([x0, x1, x2]))
+        candidates = [(u, v) for u in range(3) for v in range(3) if u != v]
+        options = LearnOptions(max_iterations=max_iterations)
+        rngs = []
+
+        def scripted(seed):
+            # add 0 -> 1 and 1 -> 2, then draw only 1 -> 0, 2 -> 0 and 2 -> 1,
+            # which close cycles
+            rngs.append(ScriptedRng([0, 3], [2, 4, 5]))
+            return rngs[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", scripted)
+        got = _climb_once(_ScoreTable(ds), candidates, options, 0)
+        want = climb_once_oracle(ScoreTableOracle(ds), candidates, options, 0)
+        assert rngs[0].single_draws == rngs[1].single_draws > 0
+        assert {(0, 1), (1, 2)} <= got[0]
         assert got[0] == want[0]
         assert float_bits(got[1]) == float_bits(want[1])
         assert got[2:] == want[2:]

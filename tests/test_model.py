@@ -225,6 +225,8 @@ class TestCpt:
     def test_probability_domain_enforced(self):
         with pytest.raises(ValueError):
             Cpt(0, [], [1.5])
+        with pytest.raises(ValueError, match=r"table entries must lie in \[0, 1\]"):
+            Cpt(0, [], [float("nan")])
 
     def test_parents_must_ascend(self):
         with pytest.raises(ValueError):
