@@ -16,33 +16,24 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .model import ModelSchemaError, _distinct_rows, _dumps_indent2
+from .model import ModelSchemaError, _distinct_rows, _dumps_indent2, _frozen, _Value
 
 RISKY = "risky"
 PROFITABLE = "profitable"
 
 
 @dataclass(frozen=True, eq=False)
-class Portfolio:
+class Portfolio(_Value):
     """Long-only holdings: a weight per stock column of the scenario matrix."""
 
     stock_indices: tuple[int, ...]
     weights: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, Portfolio):
-            return NotImplemented
-        return self.stock_indices == other.stock_indices and np.array_equal(
-            self.weights, other.weights
-        )
-
     def __init__(self, stock_indices, weights=None):
         object.__setattr__(self, "stock_indices", tuple(int(i) for i in stock_indices))
         if weights is None:
             weights = np.ones(len(self.stock_indices))
-        arr = np.asarray(weights, dtype=np.float64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "weights", _frozen(weights))
         if self.weights.shape != (len(self.stock_indices),):
             raise ValueError("one weight per stock index required")
         for i, w in zip(self.stock_indices, self.weights.tolist()):

@@ -77,6 +77,20 @@ def _positive(text: str) -> int:
     return value
 
 
+def _search_int(field: str):
+    """Argparse type for an int ``LearnOptions`` field, bounded by that
+    class's own check, so a bad value is a usage error naming the flag."""
+    def parse(text: str) -> int:
+        value = int(text)
+        try:
+            LearnOptions(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = "int"  # so a non-integer reads "invalid int value: 'x'", as for type=int
+    return parse
+
+
 def _cmd_simulate(args) -> int:
     params = json.loads(_read(args.spec)) if args.spec else {}
     if not isinstance(params, dict):
@@ -172,7 +186,7 @@ def _cmd_stress(args) -> int:
                 "no risky leaf derivable from the classification tree; "
                 "raise --risky-fraction or supply --clamp"
             )
-        if not 0 <= args.path_index < len(paths):
+        if args.path_index >= len(paths):
             raise ValueError(f"--path-index {args.path_index} out of range; tree has {len(paths)} risky paths")
         chosen = paths[args.path_index]
         assignment = {factors[f]: v for f, v in chosen.items()}
@@ -242,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=_count, default=0, metavar="B", help="replicates; 0 disables")
     p.add_argument("--confidence", type=_fraction, default=0.5, help="bootstrap pruning threshold")
     p.add_argument("--seed", type=int, default=LearnOptions.seed)
-    p.add_argument("--max-iterations", type=int, default=LearnOptions.max_iterations)
-    p.add_argument("--restarts", type=int, default=LearnOptions.restarts)
+    p.add_argument("--max-iterations", type=_search_int("max_iterations"),
+                   default=LearnOptions.max_iterations)
+    p.add_argument("--restarts", type=_search_int("restarts"), default=LearnOptions.restarts)
     p.add_argument("--smoothing", type=float, default=LearnOptions.smoothing)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-report", help="bootstrap confidence JSON to write")
@@ -253,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stress", help="sample stressed scenarios from a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--samples-for-tree", type=_count, default=1000)
+    p.add_argument("--samples-for-tree", type=_positive, default=1000)
     p.add_argument("--risky-fraction", type=_fraction, default=0.1)
     picker = p.add_mutually_exclusive_group()
-    picker.add_argument("--path-index", type=int, default=0,
+    picker.add_argument("--path-index", type=_count, default=0,
                         help="which risky tree path to clamp")
     picker.add_argument("--clamp", help='manual scenario, e.g. "SMB=0,Km=0" (skips the tree)')
     p.add_argument("--count", type=_count, default=100)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BinaryDataset, Dag, topological_order
+from .model import BinaryDataset, CsvFormatError, Dag, _csv_rows, _frozen, _Value, topological_order
 from .seeds import derive_seed
 
 FACTOR_NAMES_5 = ("Km", "SMB", "HML", "RMW", "CMA")
@@ -32,7 +32,7 @@ class SingularDesignError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class RealSeries:
+class RealSeries(_Value):
     """T x d matrix of real observations; the first ``n_factors`` columns
     are factor series, the rest are stock/portfolio returns."""
 
@@ -40,19 +40,8 @@ class RealSeries:
     names: tuple[str, ...]
     n_factors: int = 0
 
-    def __eq__(self, other):
-        if not isinstance(other, RealSeries):
-            return NotImplemented
-        return (
-            self.names == other.names
-            and self.n_factors == other.n_factors
-            and np.array_equal(self.values, other.values)
-        )
-
     def __init__(self, values, names, n_factors=0):
-        arr = np.asarray(values, dtype=np.float64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "names", tuple(str(s) for s in names))
         object.__setattr__(self, "n_factors", int(n_factors))
         if self.values.ndim != 2:
@@ -76,7 +65,7 @@ class RealSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class FactorModelSpec:
+class FactorModelSpec(_Value):
     """Linear generative model: a DAG of factors plus stock loadings.
 
     ``factor_loadings[j, k]`` is the loading of factor j on factor k and
@@ -94,58 +83,22 @@ class FactorModelSpec:
     stock_betas: np.ndarray
     stock_sigma: np.ndarray
     lag: int = 1
-    factor_names: tuple[str, ...] = ()
-    stock_names: tuple[str, ...] = ()
+    factor_names: tuple[str, ...] | None = None
+    stock_names: tuple[str, ...] | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, FactorModelSpec):
-            return NotImplemented
-        return (
-            self.factor_dag == other.factor_dag
-            and self.lag == other.lag
-            and self.factor_names == other.factor_names
-            and self.stock_names == other.stock_names
-            and all(
-                np.array_equal(getattr(self, f), getattr(other, f))
-                for f in ("factor_loadings", "factor_sigma", "stock_betas", "stock_sigma")
-            )
-        )
-
-    def __init__(
-        self,
-        n_factors,
-        n_stocks,
-        factor_dag,
-        factor_loadings,
-        factor_sigma,
-        stock_betas,
-        stock_sigma,
-        lag=1,
-        factor_names=None,
-        stock_names=None,
-    ):
-        object.__setattr__(self, "n_factors", int(n_factors))
-        object.__setattr__(self, "n_stocks", int(n_stocks))
-        object.__setattr__(self, "factor_dag", factor_dag)
-        for attr, value in (
-            ("factor_loadings", factor_loadings),
-            ("factor_sigma", factor_sigma),
-            ("stock_betas", stock_betas),
-            ("stock_sigma", stock_sigma),
-        ):
-            arr = np.asarray(value, dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, attr, arr)
-        object.__setattr__(self, "lag", int(lag))
+    def __post_init__(self):
+        object.__setattr__(self, "n_factors", int(self.n_factors))
+        object.__setattr__(self, "n_stocks", int(self.n_stocks))
+        for attr in ("factor_loadings", "factor_sigma", "stock_betas", "stock_sigma"):
+            object.__setattr__(self, attr, _frozen(getattr(self, attr)))
+        object.__setattr__(self, "lag", int(self.lag))
+        factor_names, stock_names = self.factor_names, self.stock_names
         if factor_names is None:
             factor_names = tuple(f"F{j}" for j in range(self.n_factors))
         if stock_names is None:
             stock_names = tuple(f"P{i}" for i in range(self.n_stocks))
         object.__setattr__(self, "factor_names", tuple(factor_names))
         object.__setattr__(self, "stock_names", tuple(stock_names))
-        self._validate()
-
-    def _validate(self):
         if self.n_factors < 1 or self.n_stocks < 0:
             raise ValueError("need at least one factor and a nonnegative stock count")
         if self.lag < 0:
@@ -459,20 +412,19 @@ def estimate_spec(returns: RealSeries, factors: RealSeries, lag: int = 1) -> Fac
 
 def series_from_csv(text: str, n_factors: int = 0) -> RealSeries:
     """Read a headered CSV of real values; non-numeric first column
-    (e.g. dates) is dropped."""
+    (e.g. dates) is dropped.  A malformed row or cell raises
+    ``CsvFormatError`` naming its row and column, as in
+    ``BinaryDataset.from_csv``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError("empty CSV")
+        raise CsvFormatError("empty CSV")
+    if len(lines) == 1:
+        raise CsvFormatError("CSV has a header but no data rows")
     names = [s.strip() for s in lines[0].split(",")]
-    rows = [ln.split(",") for ln in lines[1:]]
-    drop_first = False
-    if rows:
-        try:
-            float(rows[0][0])
-        except ValueError:
-            drop_first = True
-    if drop_first:
-        names = names[1:]
-        rows = [r[1:] for r in rows]
-    values = np.array([[float(c) for c in r] for r in rows])
-    return RealSeries(values, names, n_factors=n_factors)
+    try:
+        float(lines[1].split(",")[0])
+        skip = 0
+    except ValueError:
+        skip = 1
+    values = _csv_rows(lines[1:], 2, len(names), float, "a number", skip)
+    return RealSeries(values, names[skip:], n_factors=n_factors)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import BinaryDataset, Cpt, Dag, SbcnModel
+from .model import BinaryDataset, Cpt, Dag, SbcnModel, _arcs
 from .seeds import derive_seed
 
 LOG_EPS = 1e-12  # floor for log(0) so scores stay finite
@@ -91,12 +91,7 @@ class EdgeSet:
 
     def __init__(self, n: int, edges=()):
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in edges))
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+        object.__setattr__(self, "edges", _arcs(self.n, edges))
 
 
 def empirical_marginal(dataset: BinaryDataset, i: int) -> float:

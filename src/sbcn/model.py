@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +64,37 @@ def topological_order(dag) -> list[int]:
     return order
 
 
+class _Value:
+    """Field-by-field equality for the package's frozen dataclasses, array
+    fields compared by ``np.array_equal``.  Defining ``__eq__`` here leaves
+    ``__hash__`` None, so the types stay unhashable."""
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+def _frozen(values, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of ``values`` as a ``dtype`` array."""
+    arr = np.asarray(values, dtype=dtype).copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def _arcs(n: int, edges) -> frozenset[Edge]:
+    """``edges`` as a frozenset of int pairs; ``ValueError`` on a self-loop
+    or an arc leaving nodes 0..n-1."""
+    arcs = frozenset((int(u), int(v)) for u, v in edges)
+    for u, v in arcs:
+        if u == v:
+            raise ValueError(f"self-loop on node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    return arcs
+
+
 def _as_binary_matrix(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2:
@@ -74,9 +105,7 @@ def _as_binary_matrix(values) -> np.ndarray:
             f"cell at row {bad[0]}, column {bad[1]} is {arr[bad[0], bad[1]]!r}; "
             "dataset cells must be 0 or 1"
         )
-    out = arr.astype(np.uint8)
-    out.setflags(write=False)
-    return out
+    return _frozen(arr, np.uint8)
 
 
 def _distinct_rows(columns, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +145,7 @@ def _distinct_rows(columns, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryDataset:
+class BinaryDataset(_Value):
     """m observations of n binary variables, with a temporal rank per variable.
 
     ``rank`` encodes temporal priority (lower rank = earlier); it is supplied
@@ -126,15 +155,6 @@ class BinaryDataset:
     values: np.ndarray
     names: tuple[str, ...]
     rank: tuple[int, ...]
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryDataset):
-            return NotImplemented
-        return (
-            self.names == other.names
-            and self.rank == other.rank
-            and np.array_equal(self.values, other.values)
-        )
 
     def __init__(self, values, names, rank):
         object.__setattr__(self, "values", _as_binary_matrix(values))
@@ -224,26 +244,37 @@ class BinaryDataset:
             body_start = 2
         if canonical is not None:
             return cls(values, names, rank)
-        rows = []
-        for ln_no, line in enumerate(lines[body_start:], start=body_start + 1):
-            cells = line.split(",")
-            if len(cells) != n:
-                raise CsvFormatError(
-                    f"row {ln_no}: {len(cells)} cells, expected {n}"
-                )
-            row = []
-            for col_no, cell in enumerate(cells, start=1):
-                cell = cell.strip()
-                if cell not in ("0", "1"):
-                    raise CsvFormatError(
-                        f"row {ln_no}, column {col_no}: invalid cell {cell!r} "
-                        "(must be 0 or 1)"
-                    )
-                row.append(int(cell))
-            rows.append(row)
+        # ("0", "1").index reads a bit and raises ValueError on anything else
+        rows = _csv_rows(lines[body_start:], body_start + 1, n, ("0", "1").index, "0 or 1")
         if not rows:
             raise CsvFormatError("CSV has a header but no observation rows")
         return cls(np.array(rows, dtype=np.uint8), names, rank)
+
+
+def _csv_rows(lines, first_row: int, n: int, read, kind: str, skip: int = 0) -> list[list]:
+    """The cells of comma-separated ``lines``, numbered from row
+    ``first_row``, as read by ``read`` from column ``skip + 1`` on.
+
+    A line of other than ``n`` cells raises a ``CsvFormatError`` naming
+    its row, and a cell that ``read`` rejects with ``ValueError`` one
+    naming its row and column (``kind`` says what a cell must be).
+    """
+    rows = []
+    for row_no, line in enumerate(lines, start=first_row):
+        cells = line.split(",")
+        if len(cells) != n:
+            raise CsvFormatError(f"row {row_no}: {len(cells)} cells, expected {n}")
+        row = []
+        for col_no, cell in enumerate(cells[skip:], start=skip + 1):
+            cell = cell.strip()
+            try:
+                row.append(read(cell))
+            except ValueError:
+                raise CsvFormatError(
+                    f"row {row_no}, column {col_no}: invalid cell {cell!r} (must be {kind})"
+                ) from None
+        rows.append(row)
+    return rows
 
 
 def _binary_csv(names, values, *extra_head: str) -> str:
@@ -321,17 +352,11 @@ class Dag:
     edges: frozenset[Edge]
 
     def __init__(self, n: int, edges=()):
-        edges = frozenset((int(u), int(v)) for u, v in edges)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", edges)
         if self.n < 0:
             raise ValueError("node count must be nonnegative")
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-        if has_cycle(self.n, edges):
+        object.__setattr__(self, "edges", _arcs(self.n, edges))
+        if has_cycle(self.n, self.edges):
             raise ValueError("graph contains a directed cycle")
 
     def parents(self, v: int) -> tuple[int, ...]:
@@ -349,7 +374,7 @@ class Dag:
 
 
 @dataclass(frozen=True, eq=False)
-class Cpt:
+class Cpt(_Value):
     """P(node = 1 | parent configuration) for each of the 2^|parents| configs.
 
     Parents are kept in ascending index order.  Configuration ``c`` indexes
@@ -361,21 +386,10 @@ class Cpt:
     parents: tuple[int, ...]
     table: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, Cpt):
-            return NotImplemented
-        return (
-            self.node == other.node
-            and self.parents == other.parents
-            and np.array_equal(self.table, other.table)
-        )
-
     def __init__(self, node: int, parents, table):
         object.__setattr__(self, "node", int(node))
         object.__setattr__(self, "parents", tuple(int(p) for p in parents))
-        arr = np.asarray(table, dtype=np.float64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "table", _frozen(table))
         if list(self.parents) != sorted(set(self.parents)):
             raise ValueError("parents must be strictly ascending and unique")
         if self.table.ndim != 1 or len(self.table) != 2 ** len(self.parents):
@@ -394,7 +408,7 @@ class Cpt:
 
 
 @dataclass(frozen=True, eq=False)
-class SbcnModel:
+class SbcnModel(_Value):
     """A learned causal network: structure, CPTs, ranks, optional confidences."""
 
     dag: Dag
@@ -402,17 +416,6 @@ class SbcnModel:
     rank: tuple[int, ...]
     confidence: dict[Edge, float] | None = None
     names: tuple[str, ...] = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, SbcnModel):
-            return NotImplemented
-        return (
-            self.dag == other.dag
-            and self.cpts == other.cpts
-            and self.rank == other.rank
-            and self.confidence == other.confidence
-            and self.names == other.names
-        )
 
     def __init__(self, dag, cpts, rank, confidence=None, names=None):
         object.__setattr__(self, "dag", dag)

@@ -157,6 +157,19 @@ class TestInfer:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-iterations", "0", "argument --max-iterations: max_iterations must be >= 1"),
+        ("--restarts", "-1", "argument --restarts: restarts must be >= 0"),
+    ])
+    def test_search_bound_usage_error(self, tmp_path, capsys, flag, value, message):
+        # the data file does not exist: the flag fails before it is read
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["infer", "--data", tmp_path / "absent.csv", f"{flag}={value}", "--out-model", out])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_counts_keep_their_meaning(self, tmp_path, monkeypatch):
         data_path = tmp_path / "data.csv"
         run(["simulate", "--samples", 200, "--seed", 1, "--out-data", data_path])
@@ -303,6 +316,20 @@ class TestStress:
             run([command, *required, f"{flag}={value}"])
         assert exc.value.code == 2
         assert f"argument {flag}: {value} is negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples-for-tree", "0", "argument --samples-for-tree: 0 is not positive"),
+        ("--path-index", "-1", "argument --path-index: -1 is negative"),
+    ])
+    def test_tree_flag_usage_error(self, tmp_path, capsys, flag, value, message):
+        # the model file does not exist: the flag fails before it is read
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["stress", "--model", tmp_path / "absent.json", f"{flag}={value}",
+                 "--out-scenarios", out])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path, model_file):

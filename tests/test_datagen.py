@@ -21,7 +21,7 @@ from sbcn.datagen import (
     sparse_random_instance,
 )
 from sbcn.learn import prima_facie_edges
-from sbcn.model import Dag
+from sbcn.model import CsvFormatError, Dag
 from sbcn.seeds import derive_seed
 
 
@@ -260,6 +260,18 @@ class TestSeriesCsv:
         series = series_from_csv("date,a\n2001-01-01,1.0\n2001-01-02,2.0\n")
         assert series.names == ("a",)
         assert series.values[:, 0].tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("date,a,b\n2001-01-01,1.0,2\n2001-01-02,x,2\n",
+         "row 3, column 2: invalid cell 'x' (must be a number)"),
+        ("a,b\n1,2\n3\n", "row 3: 1 cells, expected 2"),
+        ("a,b\n1,2,3\n", "row 2: 3 cells, expected 2"),
+        ("a,b\n", "CSV has a header but no data rows"),
+    ], ids=["non-numeric-cell", "short-row", "long-row", "header-only"])
+    def test_malformed_csv_names_the_place(self, text, message):
+        with pytest.raises(CsvFormatError) as exc:
+            series_from_csv(text)
+        assert str(exc.value) == message
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,15 @@
 import itertools
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbcn.classifier import Portfolio
+from sbcn.datagen import FactorModelSpec, RealSeries, market_factor_spec
+from sbcn.learn import EdgeSet
 from sbcn.model import (
     BinaryDataset,
     ContingencyStats,
@@ -336,3 +340,119 @@ class TestScenarioCsv:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             scenarios_to_csv(np.zeros((2, 2), dtype=np.uint8), ["a"])
+
+
+ONE_CELL = object()  # stands for the field's array with one cell changed
+
+#: Per value type: a factory of equal instances, and for every field a value
+#: that differs from the factory's in that field alone.
+VALUE_TYPES = {
+    "BinaryDataset": (
+        lambda: BinaryDataset([[0, 1], [1, 1]], ["a", "b"], [0, 1]),
+        {"values": ONE_CELL, "names": ("a", "c"), "rank": (0, 2)},
+    ),
+    "Cpt": (
+        lambda: Cpt(2, [0, 1], [0.1, 0.2, 0.3, 0.4]),
+        {"node": 3, "parents": (0, 3), "table": ONE_CELL},
+    ),
+    "SbcnModel": (
+        lambda: SbcnModel(
+            Dag(2, [(0, 1)]),
+            [Cpt(0, [], [0.5]), Cpt(1, [0], [0.2, 0.8])],
+            [0, 1],
+            {(0, 1): 0.9},
+            ["a", "b"],
+        ),
+        {
+            "dag": Dag(2),
+            "cpts": (Cpt(0, [], [0.5]), Cpt(1, [0], [0.2, 0.7])),
+            "rank": (0, 0),
+            "confidence": {(0, 1): 0.8},
+            "names": ("a", "c"),
+        },
+    ),
+    "Portfolio": (
+        lambda: Portfolio([1, 3], [1.0, 2.0]),
+        {"stock_indices": (1, 4), "weights": ONE_CELL},
+    ),
+    "RealSeries": (
+        lambda: RealSeries([[0.5, -1.0], [2.0, 0.25]], ["f", "p"], n_factors=1),
+        {"values": ONE_CELL, "names": ("f", "q"), "n_factors": 2},
+    ),
+    "FactorModelSpec": (
+        lambda: market_factor_spec(seed=1, n_stocks=2),
+        {
+            "n_factors": 6,
+            "n_stocks": 3,
+            "factor_dag": Dag(5),
+            "factor_loadings": ONE_CELL,
+            "factor_sigma": ONE_CELL,
+            "stock_betas": ONE_CELL,
+            "stock_sigma": ONE_CELL,
+            "lag": 2,
+            "factor_names": ("Km", "SMB", "HML", "RMW", "X"),
+            "stock_names": ("P0", "Q1"),
+        },
+    ),
+}
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_equal_copies_compare_equal(self, name):
+        make, _ = VALUE_TYPES[name]
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_every_field_has_a_change(self, name):
+        make, changes = VALUE_TYPES[name]
+        assert set(changes) == {f.name for f in fields(make())}
+
+    @pytest.mark.parametrize(
+        "name, field", [(name, f) for name, (_, changes) in VALUE_TYPES.items() for f in changes]
+    )
+    def test_one_field_changed_is_unequal(self, name, field):
+        make, changes = VALUE_TYPES[name]
+        a, b = make(), make()
+        value = changes[field]
+        if value is ONE_CELL:
+            value = getattr(b, field).copy()
+            value.flat[-1] = 0 if value.flat[-1] else 1
+        # set past the constructor, which would reject some of these alone
+        object.__setattr__(b, field, value)
+        assert a != b and b != a
+        assert not a == b
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_other_type_is_unequal(self, name):
+        make, _ = VALUE_TYPES[name]
+        a = make()
+        others = [other() for key, (other, _) in VALUE_TYPES.items() if key != name]
+        assert all(a != b and b != a for b in others)
+        assert a != "a value" and a.__eq__(object()) is NotImplemented
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_unhashable(self, name):
+        make, _ = VALUE_TYPES[name]
+        with pytest.raises(TypeError):
+            hash(make())
+
+
+class TestArcCheck:
+    @pytest.mark.parametrize("edges, message", [
+        ([(1, 1)], "self-loop on node 1"),
+        ([(0, 3)], "edge (0, 3) out of range for n=3"),
+        ([(-1, 0)], "edge (-1, 0) out of range for n=3"),
+    ])
+    def test_dag_and_edge_set_reject_alike(self, edges, message):
+        with pytest.raises(ValueError) as dag_error:
+            Dag(3, edges)
+        with pytest.raises(ValueError) as set_error:
+            EdgeSet(3, edges)
+        assert str(dag_error.value) == str(set_error.value) == message
+
+    def test_negative_node_count_is_named_first(self):
+        with pytest.raises(ValueError, match="^node count must be nonnegative$"):
+            Dag(-1, [(0, 1)])
