@@ -169,35 +169,35 @@ def _grouped_rows(dataset: BinaryDataset) -> tuple[np.ndarray, np.ndarray]:
     return rows.astype(np.float64, order="F"), counts.astype(np.float64)
 
 
-def _node_counts(x: np.ndarray, v: int, parents: tuple[int, ...], counts=None):
-    """Per-configuration (total, ones) counts for node ``v`` given its parents.
+def _node_counts(x: np.ndarray, v: int, parents: tuple[int, ...], counts: np.ndarray):
+    """Per-configuration float64 (total, ones) counts for node ``v`` given its
+    parents; ``ones`` is a strided view of the bincount.
 
     ``x`` and ``counts`` come from ``_grouped_rows``: each row of ``x`` is
-    counted ``counts`` times (once each when ``counts`` is None).  One matvec
-    codes each row as 2*config + value of v, with parent j weighted 2^(j+1):
-    sums of distinct powers of two are exact in float64.  One bincount then
-    sums the rows' counts per code.  The counts are integers, and float64
-    sums of integers below 2^53 are exact in any order, so the result is
-    the integer count over the full rows.
+    counted ``counts`` times.  One matvec codes each row as 2*config + value
+    of v, with parent j weighted 2^(j+1): sums of distinct powers of two are
+    exact in float64.  One weighted bincount then sums the rows' counts per
+    code.  The counts are integers, and float64 sums of integers below 2^53
+    are exact in any order, so the result is the integer count over all rows.
     """
     w = np.zeros(x.shape[1])
     w[v] = 1.0
     w[list(parents)] = _POWERS_OF_TWO[: len(parents)]
-    pairs = np.bincount(
-        (x @ w).astype(np.intp), weights=counts, minlength=2 << len(parents)
-    ).reshape(-1, 2)
-    ones = pairs[:, 1]
-    return (pairs[:, 0] + ones).astype(np.float64), ones.astype(np.float64)
+    pairs = np.bincount((x @ w).astype(np.intp), weights=counts, minlength=2 << len(parents))
+    ones = pairs[1::2]
+    return pairs[0::2] + ones, ones
 
 
 def _node_ll(x: np.ndarray, counts: np.ndarray, v: int, parents: tuple[int, ...]) -> float:
     total, ones = _node_counts(x, v, parents, counts)
-    mask = total > 0
-    t = total[mask]
-    c1 = ones[mask]
+    seen = (total > 0).nonzero()[0]
+    t = total[seen]
+    c1 = ones[seen]
     p = c1 / t
     return float(
-        np.sum(c1 * np.log(np.maximum(p, LOG_EPS)) + (t - c1) * np.log(np.maximum(1.0 - p, LOG_EPS)))
+        np.add.reduce(
+            c1 * np.log(np.maximum(p, LOG_EPS)) + (t - c1) * np.log(np.maximum(1.0 - p, LOG_EPS))
+        )
     )
 
 

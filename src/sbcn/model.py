@@ -506,7 +506,7 @@ def validate_model(model: SbcnModel) -> list[str]:
                 problems.append(
                     f"node {cpt.node}: table size {len(cpt.table)} != 2^{len(cpt.parents)}"
                 )
-            if np.any((cpt.table < 0) | (cpt.table > 1)) or not np.all(np.isfinite(cpt.table)):
+            if not ((cpt.table >= 0.0) & (cpt.table <= 1.0)).all():  # NaN fails too
                 problems.append(f"node {cpt.node}: table entries outside [0, 1]")
     if len(model.rank) != n:
         problems.append(f"rank has {len(model.rank)} entries, expected {n}")

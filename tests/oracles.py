@@ -15,7 +15,6 @@ from sbcn.datagen import FactorModelSpec, market_factor_spec, simulate_dataset
 from sbcn.learn import (
     LOG_EPS,
     _node_cost,
-    _node_counts,
     _score_weights,
     regularized_score,
 )
@@ -112,10 +111,25 @@ def direct_counts(values, v, parents):
     return np.array(total, dtype=np.float64), np.array(ones, dtype=np.float64)
 
 
+def node_counts_oracle(x, v, parents):
+    """Per-configuration (total, ones) counts of node ``v``, each row of ``x``
+    counted once: the bincount kernel's counting step as it stood before its
+    tail was rewritten, kept here so that the score oracles below do not
+    change with the kernel they check."""
+    w = np.zeros(x.shape[1])
+    w[v] = 1.0
+    w[list(parents)] = 2.0 ** np.arange(1, len(parents) + 1)
+    pairs = np.bincount(
+        (x @ w).astype(np.intp), minlength=2 << len(parents)
+    ).reshape(-1, 2)
+    ones = pairs[:, 1]
+    return (pairs[:, 0] + ones).astype(np.float64), ones.astype(np.float64)
+
+
 def node_ll_oracle(x, v, parents):
     """The bincount-kernel node log-likelihood, a verbatim copy of the
     search's only scoring path before the packed-column kernel."""
-    total, ones = _node_counts(x, v, parents)
+    total, ones = node_counts_oracle(x, v, parents)
     mask = total > 0
     t = total[mask]
     c1 = ones[mask]

@@ -566,6 +566,22 @@ class TestGroupedKernel:
             want[denom == 0] = 0.5
             assert model.cpt(v).table.tobytes() == want.tobytes()
 
+    def test_node_ll_bit_equal_around_a_learned_model(self):
+        # The shape of a CLI market at 5000 rows: the learned parent sets hold
+        # up to 14 parents, so most configurations are empty and a few hold
+        # more than 1024 rows.  Score each of them and each one-arc neighbour.
+        ds = famafrench(5000)
+        dag = learn_structure(ds, LearnOptions())
+        assert max(len(dag.parents(v)) for v in range(ds.n)) >= 12
+        table = _ScoreTable(ds)
+        x = full_matrix(ds)
+        for v in range(ds.n):
+            learned = dag.parents(v)
+            neighbours = [tuple(sorted(set(learned) ^ {u})) for u in range(ds.n) if u != v]
+            for parents in [learned, *neighbours]:
+                want = node_ll_oracle(x, v, parents)
+                assert float_bits(table.node_ll(v, parents)) == float_bits(want)
+
 
 class TestClimbOracle:
     """The climb that skips repeats returns exactly what the climb that

@@ -260,6 +260,13 @@ class TestValidateModel:
         problems = validate_model(model)
         assert any("cycle" in p for p in problems)
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf"), -0.5, 1.5])
+    def test_table_altered_after_construction_reported(self, entry):
+        model = make_model(2, [(0, 1)])
+        cpt = model.cpt(1)
+        object.__setattr__(cpt, "table", np.array([0.5, entry]))
+        assert validate_model(model) == ["node 1: table entries outside [0, 1]"]
+
     def test_constructor_rejects_invalid(self):
         dag = Dag(2, [(0, 1)])
         with pytest.raises(ValueError, match="invalid model"):
