@@ -8,7 +8,6 @@ byte-identical output files.  Progress goes to stderr, results to files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields, replace
 
@@ -27,6 +26,7 @@ from .learn import CRITERIA, LEARNERS, PENALTIES, LearnOptions, learn_model
 from .model import (
     BinaryDataset,
     SbcnModel,
+    _json_object,
     dag_from_json,
     dag_to_json,
     float_repr,
@@ -92,9 +92,7 @@ def _search_int(field: str):
 
 
 def _cmd_simulate(args) -> int:
-    params = json.loads(_read(args.spec)) if args.spec else {}
-    if not isinstance(params, dict):
-        raise ValueError("--spec file must hold a JSON object")
+    params = _json_object(_read(args.spec), "--spec file", ()) if args.spec else {}
     spec, truth, data = generate_instance(args.mode, params, args.samples, args.seed)
     _write(args.out_data, data.to_csv())
     _log(f"wrote {data.m}x{data.n} dataset to {args.out_data}")
@@ -115,7 +113,7 @@ def _cmd_infer(args) -> int:
     if args.bootstrap > 0:
         report = edge_confidence(
             data, options, args.bootstrap, model=model, learner=args.learner,
-            threads=args.threads or None,
+            threads=args.threads,
         )
         report = replace(report, threshold=args.confidence)
         model = prune(model, report, data, args.confidence, options.smoothing)
@@ -221,7 +219,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = SweepConfig.from_json(_read(args.config))
-    report = run_sweep(config, threads=args.threads or None, log=_log)
+    report = run_sweep(config, threads=args.threads, log=_log)
     _write(args.out, report.to_csv())
     _log(report.to_text())
     return 0

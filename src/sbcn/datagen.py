@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BinaryDataset, CsvFormatError, Dag, _csv_rows, _frozen, _Value, topological_order
+from .model import BinaryDataset, CsvFormatError, Dag, _csv_rows, _frozen, _json_value, _Value, topological_order
 from .seeds import derive_seed
 
 FACTOR_NAMES_5 = ("Km", "SMB", "HML", "RMW", "CMA")
@@ -164,7 +164,6 @@ def market_factor_spec(
         np.ones(n_stocks),
         lag=lag,
         factor_names=FACTOR_NAMES_5,
-        stock_names=tuple(f"P{i}" for i in range(n_stocks)),
     )
 
 
@@ -192,9 +191,8 @@ def simulate(spec: FactorModelSpec, T: int, seed: int) -> RealSeries:
 
     stocks = np.empty((total, ns))
     stocks[: spec.lag] = rng.normal(size=(spec.lag, ns)) * spec.stock_sigma
-    eps = rng.normal(size=(total - spec.lag, ns)) * spec.stock_sigma
-    lagged = factors[: total - spec.lag] if spec.lag else factors
-    stocks[spec.lag :] = lagged @ spec.stock_betas.T + eps
+    eps = rng.normal(size=(T, ns)) * spec.stock_sigma
+    stocks[spec.lag :] = factors[:T] @ spec.stock_betas.T + eps
 
     values = np.hstack([factors, stocks])[spec.lag :]
     return RealSeries(values, spec.names, n_factors=nf)
@@ -241,7 +239,7 @@ def simulate_dataset(
     spec: FactorModelSpec, T: int, seed: int, threshold_mode: str = "median"
 ) -> BinaryDataset:
     """Binarized, lag-aligned training data with exactly T rows."""
-    series = simulate(spec, T + spec.lag, seed) if spec.lag else simulate(spec, T, seed)
+    series = simulate(spec, T + spec.lag, seed)
     return binarize(lag_align(series, spec.lag), threshold_mode)
 
 
@@ -287,16 +285,13 @@ def sparse_random_instance(
         np.ones(n_factors),
         betas,
         np.ones(n_stocks),
-        lag=1,
-        factor_names=tuple(f"F{j}" for j in range(n_factors)),
-        stock_names=tuple(f"P{i}" for i in range(n_stocks)),
     )
     data = simulate_dataset(spec, T, derive_seed(seed, 1))
     return spec, ground_truth_dag(spec), data
 
 
 #: The generator modes and, for each, its parameters and their defaults.
-#: A parameter takes the type of its default.
+#: A parameter is read as the type of its default (``model._json_value``).
 GENERATOR_PARAMS = {
     "famafrench": {"n_stocks": 10, "positive_loadings": False, "lag": 1},
     "sparse": {"n_factors": 10, "n_stocks": 20, "p": 0.3, "signed_loadings": False},
@@ -306,19 +301,17 @@ GENERATOR_MODES = tuple(GENERATOR_PARAMS)
 
 def generator_params(mode: str, params: dict) -> dict:
     """The mode's defaults overridden by ``params``; ``ValueError`` on an
-    unknown mode or key, or a non-bool value for a boolean parameter."""
+    unknown mode or key, or a value not of its default's type."""
     if mode not in GENERATOR_PARAMS:
         raise ValueError(f"generator mode must be one of {GENERATOR_MODES}, got {mode!r}")
     defaults = GENERATOR_PARAMS[mode]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown generator parameters: {', '.join(unknown)}")
-    out = dict(defaults)
-    for key, value in params.items():
-        if isinstance(defaults[key], bool) and not isinstance(value, bool):
-            raise ValueError(f"generator parameter {key} must be true or false, got {value!r}")
-        out[key] = type(defaults[key])(value)
-    return out
+    return defaults | {
+        key: _json_value(f"generator parameter {key}", value, type(defaults[key]))
+        for key, value in params.items()
+    }
 
 
 def generate_instance(
@@ -383,7 +376,7 @@ def estimate_spec(returns: RealSeries, factors: RealSeries, lag: int = 1) -> Fac
             f"need more than {nf + lag + 1} rows to fit {nf} factors at lag {lag}; "
             f"got {returns.T}"
         )
-    X = factors.values[: returns.T - lag] if lag else factors.values
+    X = factors.values[: returns.T - lag]
     Y = returns.values[lag:]
     stock_betas, stock_sigma = _ols(X, Y, factors.names)
 

@@ -8,15 +8,15 @@ averaged error rates with standard errors, as CSV and as a plain table.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from .bootstrap import _fan_out, edge_confidence, prune
 from .datagen import generate_instance, generator_params
 from .learn import LearnOptions, _candidate_rule, learn_model
-from .model import ContingencyStats, Dag, ModelSchemaError, float_repr
+from .model import ContingencyStats, Dag, ModelSchemaError, _json_object, _json_value, float_repr
 from .seeds import derive_seed
 
 RATE_FIELDS = ("fp_rate_of_inferred", "fn_rate_of_true", "fpr", "tpr")
@@ -50,12 +50,6 @@ def roc_upper_envelope(points) -> list[tuple[float, float]]:
     return out
 
 
-def _typed(obj: dict, defaults, keys) -> dict:
-    """The entries of ``obj`` under ``keys``, each cast to the type of the
-    same-named attribute of ``defaults``."""
-    return {k: type(getattr(defaults, k))(obj[k]) for k in keys if k in obj}
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Cross-product benchmark description; see ``from_json`` for the schema.
@@ -75,8 +69,6 @@ class SweepConfig:
     confidence_threshold: float = 0.5
     search: LearnOptions = LearnOptions()
 
-    REQUIRED = ("generator", "sample_sizes", "criteria", "bootstrap", "learners", "repetitions", "seed")
-    OPTIONAL = ("bootstrap_replicates", "confidence_threshold")
     #: Config keys that set the ``LearnOptions`` field of the same name.
     SEARCH = ("max_iterations", "restarts", "smoothing", "penalty")
 
@@ -105,33 +97,20 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
+        """Each key is read as the type of the field it sets, a ``SEARCH`` key
+        as that of its ``LearnOptions`` field; fields without a default are required."""
+        kinds = get_type_hints(cls) | {k: t for k, t in get_type_hints(LearnOptions).items() if k in cls.SEARCH}
+        del kinds["search"]
+        obj = _json_object(text, "config", [f.name for f in fields(cls) if f.default is MISSING])
+        unknown = sorted(set(obj) - set(kinds))
+        if unknown:
+            raise ModelSchemaError(f"unknown config keys: {', '.join(unknown)}")
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ModelSchemaError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ModelSchemaError("config must be a JSON object")
-        missing = [k for k in cls.REQUIRED if k not in obj]
-        if missing:
-            raise ModelSchemaError(f"config is missing keys: {', '.join(missing)}")
-        if not all(isinstance(b, bool) for b in obj["bootstrap"]):
-            raise ModelSchemaError(f"bootstrap entries must be true or false, got {obj['bootstrap']!r}")
-        try:
-            optional = _typed(obj, cls, cls.OPTIONAL)
-            search = LearnOptions(**_typed(obj, LearnOptions, cls.SEARCH))
-        except (TypeError, ValueError) as exc:
+            values = {k: _json_value(k, v, kinds[k]) for k, v in obj.items()}
+            search = LearnOptions(**{k: values.pop(k) for k in cls.SEARCH if k in values})
+        except ValueError as exc:
             raise ModelSchemaError(str(exc)) from None
-        return cls(
-            generator=dict(obj["generator"]),
-            sample_sizes=tuple(int(s) for s in obj["sample_sizes"]),
-            criteria=tuple(str(c) for c in obj["criteria"]),
-            bootstrap=tuple(obj["bootstrap"]),
-            learners=tuple(str(l) for l in obj["learners"]),
-            repetitions=int(obj["repetitions"]),
-            seed=int(obj["seed"]),
-            search=search,
-            **optional,
-        )
+        return cls(search=search, **values)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
+import typing
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -28,6 +30,41 @@ class CsvFormatError(ValueError):
 
 class ModelSchemaError(ValueError):
     """Model or report JSON does not match the expected schema."""
+
+
+_KIND_TEXT = {bool: "true or false", int: "an integer", float: "a finite number",
+              str: "a string", dict: "a JSON object", tuple: "a list"}
+
+
+def _json_value(what: str, value, kind):
+    """A value decoded from JSON, read as ``kind``: bool, int (also an
+    integral float), float (finite), str, dict, or ``tuple[X, ...]`` (a list
+    of X).  A bool is never a number.  ``ValueError`` naming ``what`` otherwise."""
+    origin = typing.get_origin(kind) or kind
+    if origin is tuple and isinstance(value, list):
+        return tuple(_json_value(f"{what} entries", v, typing.get_args(kind)[0]) for v in value)
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if kind is not float and type(value) is kind:
+        return value
+    raise ValueError(f"{what} must be {_KIND_TEXT[origin]}, got {value!r}")
+
+
+def _json_object(text: str, what: str, required) -> dict:
+    """``text`` parsed as a JSON object holding every key in ``required``;
+    ``ModelSchemaError`` naming ``what`` otherwise."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelSchemaError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ModelSchemaError(f"{what} must be a JSON object")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ModelSchemaError(f"{what} is missing keys: {', '.join(missing)}")
+    return obj
 
 
 def _kahn_order(n: int, edges) -> list[int]:
@@ -460,15 +497,7 @@ class SbcnModel(_Value):
 
     @classmethod
     def from_json(cls, text: str) -> "SbcnModel":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ModelSchemaError(f"not valid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ModelSchemaError("top-level JSON value must be an object")
-        missing = [k for k in ("n", "names", "rank", "edges", "cpts") if k not in obj]
-        if missing:
-            raise ModelSchemaError(f"missing keys: {', '.join(missing)}")
+        obj = _json_object(text, "model", ("n", "names", "rank", "edges", "cpts"))
         try:
             dag = Dag(obj["n"], [(e[0], e[1]) for e in obj["edges"]])
             cpts = [

@@ -21,6 +21,14 @@ def read(path):
     return path.read_text()
 
 
+def run_module(*args):
+    """``python -m sbcn.cli`` in a child process, so stderr is what a user sees."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    command = [sys.executable, "-m", "sbcn.cli", *map(str, args)]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(command, env=env, capture_output=True, encoding="utf-8")
+
+
 @pytest.fixture()
 def model_file(tmp_path):
     spec = market_factor_spec(seed=3, positive_loadings=True)
@@ -91,6 +99,17 @@ class TestSimulate:
         assert run(["simulate", "--mode", mode, "--samples", 50, "--spec", spec_file,
                     "--out-data", tmp_path / "d.csv"]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_ill_typed_spec_is_one_error_line(self, tmp_path):
+        spec_file = tmp_path / "gen.json"
+        spec_file.write_text(json.dumps({"n_stocks": [3]}))
+        done = run_module("simulate", "--samples", 50, "--spec", spec_file,
+                          "--out-data", tmp_path / "d.csv")
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "error: generator parameter n_stocks must be an integer, got [3]"
+        ]
         assert not (tmp_path / "d.csv").exists()
 
 
@@ -385,6 +404,13 @@ class TestSweep:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"generator": {"mode": "sparse"}}))
         assert run(["sweep", "--config", path, "--out", tmp_path / "o.csv"]) == 1
+
+    def test_ill_typed_key_is_one_error_line(self, tmp_path):
+        done = run_module("sweep", "--config", self.config(tmp_path, sample_sizes=20),
+                          "--out", tmp_path / "o.csv")
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == ["error: sample_sizes must be a list, got 20"]
+        assert not (tmp_path / "o.csv").exists()
 
     def test_negative_threads_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

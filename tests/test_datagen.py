@@ -314,3 +314,8 @@ class TestGenerateInstance:
     def test_flags_must_be_booleans(self, value):
         with pytest.raises(ValueError, match="generator parameter signed_loadings must be true or false"):
             generator_params("sparse", {"signed_loadings": value})
+
+    @pytest.mark.parametrize("value", [3.6, True, [3]])
+    def test_counts_must_be_integers(self, value):
+        with pytest.raises(ValueError, match="^generator parameter n_stocks must be an integer, got "):
+            generator_params("famafrench", {"n_stocks": value})

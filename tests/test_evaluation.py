@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +158,42 @@ class TestSweepConfig:
     def test_ill_typed_setting_is_a_schema_error(self, key, value):
         with pytest.raises(ModelSchemaError):
             tiny_config(**{key: value})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sample_sizes", 20, "sample_sizes must be a list, got 20"),
+        ("bootstrap", True, "bootstrap must be a list, got True"),
+        ("criteria", "bic", "criteria must be a list, got 'bic'"),
+        ("max_iterations", True, "max_iterations must be an integer, got True"),
+        ("sample_sizes", [20.7], "sample_sizes entries must be an integer, got 20.7"),
+        ("repetitions", 2.5, "repetitions must be an integer, got 2.5"),
+        ("smoothing", float("nan"), "smoothing must be a finite number, got nan"),
+    ])
+    def test_ill_typed_value_names_the_key(self, key, value, message):
+        with pytest.raises(ModelSchemaError) as exc:
+            tiny_config(**{key: value})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("overrides, keys", [
+        ({"max_iteration": 5}, "max_iteration"),
+        ({"search": {"max_iterations": 5}}, "search"),
+        ({"search": {}, "max_iteration": 5}, "max_iteration, search"),
+    ])
+    def test_unknown_keys_listed(self, overrides, keys):
+        with pytest.raises(ModelSchemaError) as exc:
+            tiny_config(**overrides)
+        assert str(exc.value) == f"unknown config keys: {keys}"
+
+    def test_integral_numbers_read_as_ints(self):
+        config = tiny_config(sample_sizes=[120.0], repetitions=2.0, max_iterations=200.0)
+        assert config == tiny_config()
+        assert type(config.repetitions) is int and type(config.sample_sizes[0]) is int
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Sweep config", 1)[1]
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        config = SweepConfig.from_json(example)
+        assert config.learners == ("sbcn", "bn") and config.bootstrap == (False, True)
 
     @pytest.mark.parametrize("overrides, message", [
         ({"criteria": ["bic", "mdl"]}, "unknown criterion 'mdl'; choose from bic, aic"),
