@@ -297,11 +297,25 @@ GENERATOR_PARAMS = {
     "sparse": {"n_factors": 10, "n_stocks": 20, "p": 0.3, "signed_loadings": False},
 }
 GENERATOR_MODES = tuple(GENERATOR_PARAMS)
+#: The range of each numeric generator parameter, as (low, high); None is unbounded.
+GENERATOR_RANGES = {"n_stocks": (0, None), "n_factors": (1, None), "lag": (0, None), "p": (0, 1)}
+
+
+def _generator_param(key: str, value, kind):
+    """One generator parameter read as ``kind`` and checked against its range."""
+    value = _json_value(f"generator parameter {key}", value, kind)
+    if key in GENERATOR_RANGES:
+        low, high = GENERATOR_RANGES[key]
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ValueError(f"generator parameter {key} must be {bound}, got {value!r}")
+    return value
 
 
 def generator_params(mode: str, params: dict) -> dict:
     """The mode's defaults overridden by ``params``; ``ValueError`` on an
-    unknown mode or key, or a value not of its default's type."""
+    unknown mode or key, a value not of its default's type, or a number
+    outside its ``GENERATOR_RANGES`` entry."""
     if mode not in GENERATOR_PARAMS:
         raise ValueError(f"generator mode must be one of {GENERATOR_MODES}, got {mode!r}")
     defaults = GENERATOR_PARAMS[mode]
@@ -309,8 +323,7 @@ def generator_params(mode: str, params: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown generator parameters: {', '.join(unknown)}")
     return defaults | {
-        key: _json_value(f"generator parameter {key}", value, type(defaults[key]))
-        for key, value in params.items()
+        key: _generator_param(key, value, type(defaults[key])) for key, value in params.items()
     }
 
 

@@ -149,17 +149,12 @@ def prima_facie_edges(dataset: BinaryDataset, tp_mode: str = "rank") -> EdgeSet:
     ok = priority & nondeg[:, None] & nondeg[None, :] & (margin > 0)
     np.fill_diagonal(ok, False)
 
-    edges = set()
-    for v, u in zip(*np.nonzero(ok)):
-        v, u = int(v), int(u)
-        if ok[u, v] and rank[v] == rank[u]:
-            # bidirectional conflict: keep the stronger raising direction
-            if margin[v, u] < margin[u, v]:
-                continue
-            if margin[v, u] == margin[u, v] and v > u:
-                continue
-        edges.add((v, u))
-    return EdgeSet(n, edges)
+    # bidirectional conflict between equal ranks: keep the stronger raising
+    # direction, the lower-index source on a tie
+    idx = np.arange(n)
+    loses = (margin < margin.T) | ((margin == margin.T) & (idx[:, None] > idx[None, :]))
+    ok &= ~(ok.T & (rank[:, None] == rank[None, :]) & loses)
+    return EdgeSet(n, zip(*np.nonzero(ok)))
 
 
 def _grouped_rows(dataset: BinaryDataset) -> tuple[np.ndarray, np.ndarray]:

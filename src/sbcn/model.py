@@ -14,6 +14,7 @@ import sys
 import typing
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -136,8 +137,9 @@ def _as_binary_matrix(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        bad = np.argwhere(~np.isin(arr, (0, 1)))[0]
+    binary = (arr == 0) | (arr == 1)
+    if not binary.all():
+        bad = np.argwhere(~binary)[0]
         raise ValueError(
             f"cell at row {bad[0]}, column {bad[1]} is {arr[bad[0], bad[1]]!r}; "
             "dataset cells must be 0 or 1"
@@ -486,7 +488,7 @@ class SbcnModel(_Value):
             "rank": list(self.rank),
             "edges": sorted([u, v] for u, v in self.dag.edges),
             "cpts": [
-                {"node": c.node, "parents": list(c.parents), "table": c.table.tolist()}
+                {"node": c.node, "parents": list(c.parents), "table": c.table}
                 for c in self.cpts
             ],
             "confidence": None
@@ -616,15 +618,39 @@ def scenarios_to_csv(scenarios: np.ndarray, names) -> str:
 
 
 _SCALARS = {str, int, float, bool, type(None)}
+_SCALAR_ENCODER = json.JSONEncoder(separators=("\0", ": "))
+
+
+def _scalar_texts(values) -> list[str]:
+    """The JSON text of each plain scalar in the non-empty list or tuple ``values``,
+    from one C-encoder call.  JSON escapes a NUL inside a string as
+    ``\\u0000``, so a raw NUL in the encoding can only be a separator."""
+    return _SCALAR_ENCODER.encode(values)[1:-1].split("\0")
+
+
+def _scalar_list(texts, level: int) -> str:
+    """The indent-2 JSON list of the encoded scalars ``texts`` at ``level``."""
+    pad = "  " * level
+    return "[\n" + pad + "  " + (",\n  " + pad).join(texts) + "\n" + pad + "]"
 
 
 def _dumps_indent2(obj, level: int = 0) -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, but faster on long flat lists.
+    """Exactly ``json.dumps(obj, indent=2)``, an array read as its
+    ``.tolist()``, but faster on lists of scalars.
 
     ``json.dumps`` skips its C encoder whenever ``indent`` is set.  A list
-    of plain scalars is instead encoded in one C-encoder call whose item
-    separator carries the newline and the indentation.
+    of plain scalars, or of non-empty lists of them, is instead encoded in
+    one C-encoder call (``_scalar_texts``) and laid out around it.  A 1-D
+    float64 array encodes each distinct value once, found by ``np.unique``
+    on its ``uint64`` view: the bits keep ``-0.0``, ``0.0`` and NaN payloads
+    apart, and a float's text depends on its bits alone.
     """
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim != 1 or not obj.size:
+            return _dumps_indent2(obj.tolist(), level)
+        bits, inverse = np.unique(obj.view(np.uint64), return_inverse=True)
+        distinct = np.array(_scalar_texts(bits.view(np.float64).tolist()), dtype=object)
+        return _scalar_list(distinct[inverse].tolist(), level)
     pad = "  " * level
     inner = pad + "  "
     if isinstance(obj, dict):
@@ -642,8 +668,15 @@ def _dumps_indent2(obj, level: int = 0) -> str:
         if not obj:
             return "[]"
         if set(map(type, obj)) <= _SCALARS:
-            flat = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(obj)
-            return "[\n" + inner + flat[1:-1] + "\n" + pad + "]"
+            return _scalar_list(_scalar_texts(obj), level)
+        if all(isinstance(x, (list, tuple)) and x for x in obj):
+            leaves = [v for x in obj for v in x]
+            if set(map(type, leaves)) <= _SCALARS:
+                texts = iter(_scalar_texts(leaves))
+                items = ",\n".join(
+                    inner + _scalar_list(islice(texts, len(x)), level + 1) for x in obj
+                )
+                return "[\n" + items + "\n" + pad + "]"
         items = ",\n".join(inner + _dumps_indent2(x, level + 1) for x in obj)
         return "[\n" + items + "\n" + pad + "]"
     return json.dumps(obj)

@@ -13,6 +13,7 @@ import numpy as np
 from sbcn.classifier import NOISE_FLOOR_CHI2, PROFITABLE, RISKY, DecisionTree, Leaf, Split
 from sbcn.datagen import FactorModelSpec, market_factor_spec, simulate_dataset
 from sbcn.learn import (
+    EdgeSet,
     LOG_EPS,
     _node_cost,
     _score_weights,
@@ -96,6 +97,43 @@ def prima_facie_oracle(ds):
         edges.add((v, u))
     return edges
 
+
+def prima_facie_pair_loop_oracle(dataset, tp_mode="rank"):
+    """``learn.prima_facie_edges`` as it resolved equal-rank conflicts before
+    vectorising: one Python test per passing pair, in either ``tp_mode``."""
+    values = dataset.values.astype(np.float64)
+    m, n = values.shape
+    ones = values.sum(axis=0)
+    nondeg = (ones > 0) & (ones < m)
+
+    # joint counts: n11[v, u] = #rows with v=1 and u=1
+    n11 = values.T @ values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_given_1 = n11 / ones[:, None]
+        p_given_0 = (ones[None, :] - n11) / (m - ones)[:, None]
+    margin = p_given_1 - p_given_0  # margin[v, u]: how much v=1 raises u
+
+    rank = np.asarray(dataset.rank)
+    if tp_mode == "rank":
+        priority = rank[:, None] <= rank[None, :]
+    else:
+        marg = ones / m
+        priority = marg[:, None] > marg[None, :]
+
+    ok = priority & nondeg[:, None] & nondeg[None, :] & (margin > 0)
+    np.fill_diagonal(ok, False)
+
+    edges = set()
+    for v, u in zip(*np.nonzero(ok)):
+        v, u = int(v), int(u)
+        if ok[u, v] and rank[v] == rank[u]:
+            # bidirectional conflict: keep the stronger raising direction
+            if margin[v, u] < margin[u, v]:
+                continue
+            if margin[v, u] == margin[u, v] and v > u:
+                continue
+        edges.add((v, u))
+    return EdgeSet(n, edges)
 
 def direct_counts(values, v, parents):
     """Per-configuration (total, ones) counts of column v by a row loop.

@@ -92,6 +92,8 @@ class TestSimulate:
         ("sparse", {"signed_loadings": 0},
          "error: generator parameter signed_loadings must be true or false, got 0"),
         ("sparse", {"lag": 2}, "error: unknown generator parameters: lag"),
+        ("famafrench", {"n_stocks": -1}, "error: generator parameter n_stocks must be >= 0, got -1"),
+        ("sparse", {"p": 2}, "error: generator parameter p must be in [0, 1], got 2.0"),
     ])
     def test_bad_spec_names_the_key(self, tmp_path, capsys, mode, params, message):
         spec_file = tmp_path / "gen.json"

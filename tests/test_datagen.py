@@ -319,3 +319,28 @@ class TestGenerateInstance:
     def test_counts_must_be_integers(self, value):
         with pytest.raises(ValueError, match="^generator parameter n_stocks must be an integer, got "):
             generator_params("famafrench", {"n_stocks": value})
+
+    def test_n_stocks_range(self):
+        with pytest.raises(ValueError) as exc:
+            generator_params("famafrench", {"n_stocks": -1})
+        assert str(exc.value) == "generator parameter n_stocks must be >= 0, got -1"
+        assert generator_params("sparse", {"n_stocks": 0})["n_stocks"] == 0
+
+    def test_n_factors_range(self):
+        with pytest.raises(ValueError) as exc:
+            generator_params("sparse", {"n_factors": 0})
+        assert str(exc.value) == "generator parameter n_factors must be >= 1, got 0"
+        assert generator_params("sparse", {"n_factors": 1})["n_factors"] == 1
+
+    @pytest.mark.parametrize("value", [2, -0.5, 1.0000001])
+    def test_p_range(self, value):
+        with pytest.raises(ValueError) as exc:
+            generator_params("sparse", {"p": value})
+        assert str(exc.value) == f"generator parameter p must be in [0, 1], got {float(value)!r}"
+        assert generator_params("sparse", {"p": 0})["p"] == 0.0
+
+    def test_lag_range(self):
+        with pytest.raises(ValueError) as exc:
+            generator_params("famafrench", {"lag": -1})
+        assert str(exc.value) == "generator parameter lag must be >= 0, got -1"
+        assert generator_params("famafrench", {"lag": 0})["lag"] == 0

@@ -173,6 +173,12 @@ class TestSweepConfig:
             tiny_config(**{key: value})
         assert str(exc.value) == message
 
+    def test_generator_range_checked_when_parsed(self):
+        # before run_sweep starts a worker, not inside one
+        with pytest.raises(ModelSchemaError) as exc:
+            tiny_config(generator={"mode": "sparse", "p": 2})
+        assert str(exc.value) == "generator parameter p must be in [0, 1], got 2.0"
+
     @pytest.mark.parametrize("overrides, keys", [
         ({"max_iteration": 5}, "max_iteration"),
         ({"search": {"max_iterations": 5}}, "search"),

@@ -171,6 +171,23 @@ JSON_VALUES = st.recursive(
     max_leaves=30,
 )
 
+# float64 tables as the model writer gets them: repeated values, signed
+# zeros, NaN and infinities among them, and the empty table
+FLOAT_ARRAYS = st.lists(
+    st.sampled_from([0.0, -0.0, 0.1, 1.0, 1 / 3, float("nan"), float("inf"), float("-inf")])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    max_size=40,
+).map(lambda values: np.array(values, dtype=np.float64))
+
+
+def as_lists(obj):
+    """``obj`` with every array replaced by its ``.tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    return [as_lists(x) for x in obj]
+
 
 class TestJsonWriter:
     @settings(max_examples=400, deadline=None)
@@ -186,6 +203,23 @@ class TestJsonWriter:
     def test_unencodable_key(self):
         with pytest.raises(TypeError):
             _dumps_indent2({(1, 2): 0})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(FLOAT_ARRAYS, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6))
+    def test_float_arrays_equal_json_dumps_of_tolist(self, obj):
+        assert _dumps_indent2(obj) == json.dumps(as_lists(obj), indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        [(1, 2.5), [None, True]],
+        [[1], []],
+        [[1, [2]], [3]],
+        [["a\0b", ", ", "\0"], ["é", "☃ü", ""]],
+        {"edges": [[0, 1], [2, 3]], "confidence": [[0, 1, 0.5], [2, 3, 1.0]]},
+        [[np.float64(0.5)], [1]],
+    ])
+    def test_lists_of_scalar_lists(self, obj):
+        assert _dumps_indent2(obj) == json.dumps(obj, indent=2)
 
 
 class TestCsvNames:

@@ -18,6 +18,7 @@ from oracles import (
     make_dataset as dataset,
     node_ll_oracle,
     prima_facie_oracle,
+    prima_facie_pair_loop_oracle,
     tiny_linear_dataset,
 )
 from sbcn.datagen import generate_instance
@@ -982,3 +983,20 @@ def test_prima_facie_rank_property(data):
     for v, u in prima_facie_edges(ds).edges:
         assert ds.rank[v] <= ds.rank[u]
     assert prima_facie_edges(ds).edges == frozenset(prima_facie_oracle(ds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prima_facie_conflict_rule_matches_pair_loop(data):
+    # few rows, so equal-rank pairs often raise each other by exactly equal margins
+    m = data.draw(st.integers(2, 8))
+    n = data.draw(st.integers(2, 6))
+    values = data.draw(
+        st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    rank = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    tp_mode = data.draw(st.sampled_from(["rank", "marginal"]))
+    ds = dataset(values, rank=rank)
+    got = prima_facie_edges(ds, tp_mode)
+    assert got == prima_facie_pair_loop_oracle(ds, tp_mode)
+    assert all(type(u) is int and type(v) is int for u, v in got.edges)

@@ -84,6 +84,23 @@ class TestBinaryDataset:
         with pytest.raises(ValueError, match="row 1, column 0"):
             BinaryDataset([[0, 1], [2, 0]], ["a", "b"], [0, 0])
 
+    @pytest.mark.parametrize("cells, row, column", [
+        ([[0, 1], [2, 0]], 1, 0),
+        ([[0, 0.5], [1, 1]], 0, 1),
+        ([[1, 1], [0, -1]], 1, 1),
+    ])
+    def test_non_binary_cell_message(self, cells, row, column):
+        bad = np.asarray(cells)[row, column]
+        with pytest.raises(ValueError) as exc:
+            BinaryDataset(cells, ["a", "b"], [0, 0])
+        assert str(exc.value) == (
+            f"cell at row {row}, column {column} is {bad!r}; dataset cells must be 0 or 1"
+        )
+
+    def test_bool_matrix_accepted(self):
+        ds = BinaryDataset(np.array([[True, False], [False, True]]), ["a", "b"], [0, 0])
+        assert ds.values.dtype == np.uint8 and ds.values.tolist() == [[1, 0], [0, 1]]
+
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="unique"):
             BinaryDataset([[0, 1]], ["a", "a"], [0, 0])
