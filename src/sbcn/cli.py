@@ -123,8 +123,6 @@ def _cmd_infer(args) -> int:
         )
         if args.out_report:
             _write(args.out_report, report.to_json())
-    elif args.out_report:
-        raise ValueError("--out-report requires --bootstrap > 0")
     _write(args.out_model, model.to_json())
     return 0
 
@@ -293,7 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "infer" and args.out_report and not args.bootstrap:
+        # a rule on two flags, checked before the data is read
+        parser.error("--out-report requires --bootstrap > 0")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -10,6 +10,7 @@ filter disabled (every ordered pair allowed) is provided for comparison.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +42,14 @@ def _check_choice(what: str, value, choices) -> None:
     """Reject a ``value`` not among ``choices``, naming both."""
     if value not in choices:
         raise ValueError(f"unknown {what} {value!r}; choose from {', '.join(choices)}")
+
+
+def _check_smoothing(smoothing: float) -> None:
+    """Reject a negative, NaN or infinite CPT pseudo-count."""
+    if not smoothing >= 0:  # NaN fails this test too
+        raise ValueError("smoothing must be >= 0")
+    if smoothing == np.inf:
+        raise ValueError("smoothing must be finite")
 
 
 @dataclass(frozen=True)
@@ -76,8 +85,7 @@ class LearnOptions:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
-        if not self.smoothing >= 0:  # NaN fails this test too
-            raise ValueError("smoothing must be >= 0")
+        _check_smoothing(self.smoothing)
         _check_choice("tp_mode", self.tp_mode, TP_MODES)
         _check_choice("penalty", self.penalty, PENALTIES)
 
@@ -266,14 +274,21 @@ class _ScoreTable:
         return _grouped_rows(self._dataset)
 
     def _packed_ll(self, v: int, parents: tuple[int, ...]) -> float:
+        child, rows = self._ones[v], self._rows
+        if not parents:
+            return rows[self.m][child.bit_count()]
         configs = [self._all]
-        for p in parents:
+        for p in parents[:-1]:
             off, on = self._zeros[p], self._ones[p]
             # an empty configuration stays empty, and dropping it keeps the
             # order of the rest
             configs = [c for r in configs if (c := r & off)] + [c for r in configs if (c := r & on)]
-        child, rows = self._ones[v], self._rows
-        return float(np.add.reduce([rows[r.bit_count()][(r & child).bit_count()] for r in configs]))
+        # the last parent's split goes straight into the terms, in the same
+        # order: its off half, then its on half
+        off, on = self._zeros[parents[-1]], self._ones[parents[-1]]
+        terms = [rows[c.bit_count()][(c & child).bit_count()] for r in configs if (c := r & off)]
+        terms += [rows[c.bit_count()][(c & child).bit_count()] for r in configs if (c := r & on)]
+        return float(np.add.reduce(terms))
 
 
 def log_likelihood(dataset: BinaryDataset, dag: Dag) -> float:
@@ -332,8 +347,7 @@ def fit_cpts(dataset: BinaryDataset, dag: Dag, smoothing: float = 1.0) -> SbcnMo
     """
     if dag.n != dataset.n:
         raise ValueError(f"structure has {dag.n} nodes, dataset has {dataset.n}")
-    if not smoothing >= 0:  # NaN fails this test too
-        raise ValueError("smoothing must be >= 0")
+    _check_smoothing(smoothing)
     x, counts = _grouped_rows(dataset)
     cpts = []
     for v in range(dag.n):
@@ -400,8 +414,11 @@ def _climb_once(
     w, unit = _score_weights(options.criterion, m, options.aic_conventional)
     penalty = options.penalty
 
+    # the climb's one score lookup, so a table that overrides node_ll sees
+    # every call
+    lookup = table.node_ll
     parents: list[tuple[int, ...]] = [() for _ in range(n)]
-    node_ll = [table.node_ll(v, ()) for v in range(n)]
+    node_ll = [lookup(v, ()) for v in range(n)]
     score = w * sum(node_ll) - unit * n * _node_cost(0, penalty)
     if not candidates:
         return frozenset(), score, "optimum", 0
@@ -418,33 +435,37 @@ def _climb_once(
     cost = [_node_cost(q, penalty) for q in range(max(Counter(cand_v).values()) + 1)]
 
     rng = np.random.default_rng(seed)
-    buffer = rng.integers(0, n_cand, size=4096).tolist()
+    buf_len = 4096
+    buffer = rng.integers(0, n_cand, size=buf_len).tolist()
     buf_pos = 0
+    redraws = range(8 * n_cand)
 
     # Candidates rejected or found to close a cycle since the last accept.
     # The graph does not change between accepts, so once this covers every
     # candidate no later proposal could be accepted: the climb sits at a
     # certified local optimum.
     settled: set[int] = set()
+    settle = settled.add
     proposals = 0
     rejects_in_a_row = 0
-    max_proposals = 100 * options.max_iterations
+    max_iterations = options.max_iterations
+    max_proposals = 100 * max_iterations
     while (
         len(settled) < n_cand
-        and rejects_in_a_row < options.max_iterations
+        and rejects_in_a_row < max_iterations
         and proposals < max_proposals
     ):
         # uniform pick over valid neighbors: removals are always valid,
         # additions only when acyclic; cycle-creating picks are redrawn
-        for _ in range(8 * n_cand):
-            if buf_pos == len(buffer):
-                buffer = rng.integers(0, n_cand, size=4096).tolist()
+        for _ in redraws:
+            if buf_pos == buf_len:
+                buffer = rng.integers(0, n_cand, size=buf_len).tolist()
                 buf_pos = 0
             pick = buffer[buf_pos]
             buf_pos += 1
             if present[pick] or not desc[cand_v[pick]] >> cand_u[pick] & 1:
                 break
-            settled.add(pick)
+            settle(pick)
         else:
             # never empty: an arc in the graph can always be removed, and
             # on the empty graph no addition closes a cycle
@@ -457,12 +478,14 @@ def _climb_once(
         v = cand_v[pick]
         if stamp[pick] != version[v]:
             u = cand_u[pick]
-            old = parents[v]
+            old = parents[v]  # sorted, so the toggled tuple is two slices
             if present[pick]:
-                new_parents = tuple(p for p in old if p != u)
+                i = old.index(u)
+                new_parents = old[:i] + old[i + 1:]
             else:
-                new_parents = tuple(sorted(old + (u,)))
-            new_ll = table.node_ll(v, new_parents)
+                i = bisect_left(old, u)
+                new_parents = old[:i] + (u,) + old[i:]
+            new_ll = lookup(v, new_parents)
             delta = w * (new_ll - node_ll[v]) - unit * (cost[len(new_parents)] - cost[len(old)])
             if delta > 0:
                 version[v] += 1
@@ -479,10 +502,10 @@ def _climb_once(
                 continue
             stamp[pick] = version[v]
         rejects_in_a_row += 1
-        settled.add(pick)
+        settle(pick)
     if len(settled) == n_cand:
         stop = "optimum"
-    elif rejects_in_a_row >= options.max_iterations:
+    elif rejects_in_a_row >= max_iterations:
         stop = "streak"
     else:
         stop = "cap"

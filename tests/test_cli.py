@@ -233,6 +233,29 @@ class TestInfer:
         assert searched == []
         assert not (tmp_path / "m.json").exists()
 
+    def test_infinite_smoothing_fails_before_the_search(self, tmp_path, capsys, monkeypatch):
+        data_path = tmp_path / "data.csv"
+        run(["simulate", "--samples", 200, "--seed", 1, "--out-data", data_path])
+        capsys.readouterr()
+        searched = []
+        monkeypatch.setattr("sbcn.cli.learn_model", lambda *a: searched.append(a))
+        assert run(["infer", "--data", data_path, "--smoothing", "inf",
+                    "--out-model", tmp_path / "m.json"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: smoothing must be finite"]
+        assert searched == []
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("bootstrap", [[], ["--bootstrap", 0]])
+    def test_report_without_bootstrap_usage_error(self, tmp_path, capsys, bootstrap):
+        # the data file does not exist: the flags fail before it is read
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["infer", "--data", tmp_path / "absent.csv", *bootstrap, "--out-model", out,
+                 "--out-report", tmp_path / "r.json"])
+        assert exc.value.code == 2
+        assert "error: --out-report requires --bootstrap > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, expected", [
         ([], LearnOptions()),
         (["--criterion", "aic", "--penalty", "parameters", "--seed", 3, "--max-iterations", 5,

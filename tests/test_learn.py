@@ -192,6 +192,11 @@ class TestFitCpts:
         with pytest.raises(ValueError, match=r"^smoothing must be >= 0$"):
             fit_cpts(dataset([[0, 1], [1, 1]]), Dag(2, [(0, 1)]), smoothing)
 
+    def test_infinite_smoothing_names_the_cause(self):
+        # not the table-range error an infinite pseudo-count would cause
+        with pytest.raises(ValueError, match=r"^smoothing must be finite$"):
+            fit_cpts(dataset([[0, 1], [1, 1]]), Dag(2, [(0, 1)]), math.inf)
+
     def test_model_carries_rank_and_names(self):
         ds = dataset([[0, 1]], rank=[0, 1], names=["f", "s"])
         model = fit_cpts(ds, Dag(2))
@@ -705,6 +710,23 @@ class TestClimbOracleLargeGraphs:
         assert got[2:] == want[2:]
 
 
+class TestClimbOracleSparseRegime:
+    """As TestClimbOracle, in the setting the sweep benchmark and acceptance
+    criterion 4 learn in: sparse 30-variable instances, 250 rows, prima
+    facie candidates and the free-parameter penalty."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_oracle(self, seed):
+        _, _, ds = generate_instance("sparse", {}, 250, seed)
+        candidates = sorted(prima_facie_edges(ds).edges)
+        options = LearnOptions(penalty="parameters", max_iterations=2000)
+        got = _climb_once(_ScoreTable(ds), candidates, options, seed)
+        want = climb_once_oracle(ScoreTableOracle(ds), candidates, options, seed)
+        assert got[0] == want[0]
+        assert float_bits(got[1]) == float_bits(want[1])
+        assert got[2:] == want[2:]
+
+
 class ScriptedRng:
     """Stands in for ``np.random.default_rng``: each buffer of picks is
     ``head`` followed by ``loop`` repeated, and the k-th single draw from
@@ -944,6 +966,10 @@ class TestLearners:
         for smoothing in (-0.1, float("nan")):
             with pytest.raises(ValueError, match=r"^smoothing must be >= 0$"):
                 LearnOptions(smoothing=smoothing)
+        with pytest.raises(ValueError, match=r"^smoothing must be finite$"):
+            LearnOptions(smoothing=math.inf)
+        with pytest.raises(ValueError, match=r"^smoothing must be >= 0$"):
+            LearnOptions(smoothing=-math.inf)
         with pytest.raises(ValueError):
             LearnOptions(tp_mode="time")
         with pytest.raises(ValueError):
