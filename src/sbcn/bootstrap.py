@@ -8,7 +8,6 @@ refit on the original data for the reduced structure.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -16,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .learn import LearnOptions, fit_cpts, learn_structure
-from .model import BinaryDataset, Dag, ModelSchemaError, SbcnModel, _dumps_indent2
+from .model import BinaryDataset, Dag, SbcnModel, _dumps_indent2, _json_object
 from .seeds import derive_seed
 
 
@@ -47,15 +46,13 @@ class BootstrapReport:
 
     @classmethod
     def from_json(cls, text: str) -> "BootstrapReport":
-        try:
-            obj = json.loads(text)
-            return cls(
-                int(obj["replicates"]),
-                {(int(u), int(v)): float(c) for u, v, c in obj["confidence"]},
-                float(obj["threshold"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ModelSchemaError(f"malformed bootstrap report JSON: {exc!r}") from None
+        def build(replicates, threshold, confidence):
+            return cls(replicates, {(u, v): c for u, v, c in confidence}, threshold)
+        return _json_object(text, "bootstrap report", _REPORT_KEYS, build=build)
+
+
+#: The keys of a bootstrap report file, with their types (``model._json_value``).
+_REPORT_KEYS = {"replicates": int, "threshold": float, "confidence": tuple[tuple[int, int, float], ...]}
 
 
 def resample(dataset: BinaryDataset, seed: int) -> BinaryDataset:

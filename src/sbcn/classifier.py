@@ -9,14 +9,13 @@ sampling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
-from .model import ModelSchemaError, _distinct_rows, _dumps_indent2, _frozen, _Value
+from .model import _distinct_rows, _dumps_indent2, _frozen, _json_object, _Value
 
 RISKY = "risky"
 PROFITABLE = "profitable"
@@ -104,6 +103,12 @@ class Leaf:
     label: str
     counts: tuple[int, int]  # (profitable, risky) training rows
 
+    def __post_init__(self):
+        if self.label not in (RISKY, PROFITABLE):
+            raise ValueError(f"label must be {RISKY!r} or {PROFITABLE!r}, got {self.label!r}")
+        if len(self.counts) != 2 or min(self.counts) < 0:
+            raise ValueError(f"counts must be two nonnegative integers, got {list(self.counts)}")
+
 
 @dataclass(frozen=True)
 class Split:
@@ -111,17 +116,34 @@ class Split:
     left: Union["Split", Leaf]  # feature value 0
     right: Union["Split", Leaf]  # feature value 1
 
+    def __post_init__(self):
+        if self.feature < 0:
+            raise ValueError(f"feature must be >= 0, got {self.feature}")
+
 
 @dataclass(frozen=True)
 class DecisionTree:
     """Binary classification tree over factor columns.
 
-    Feature indices refer to columns of the training feature matrix; no
-    feature repeats along any root-to-leaf path.
+    Feature indices refer to columns of the training feature matrix, and
+    name ``feature_names`` entries when those are given; no feature repeats
+    along any root-to-leaf path.
     """
 
     root: Union[Split, Leaf]
     feature_names: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        def check(node, above: frozenset):
+            if isinstance(node, Split):
+                if node.feature in above:
+                    raise ValueError(f"feature {node.feature} repeats on a root-to-leaf path")
+                if self.feature_names and node.feature >= len(self.feature_names):
+                    raise ValueError(f"feature {node.feature} has no name among "
+                                     f"{len(self.feature_names)} feature_names")
+                check(node.left, above | {node.feature})
+                check(node.right, above | {node.feature})
+        check(self.root, frozenset())
 
     def to_json(self) -> str:
         obj = {"feature_names": list(self.feature_names), "root": _node_to_obj(self.root)}
@@ -129,11 +151,8 @@ class DecisionTree:
 
     @classmethod
     def from_json(cls, text: str) -> "DecisionTree":
-        try:
-            obj = json.loads(text)
-            return cls(_node_from_obj(obj["root"]), tuple(obj.get("feature_names", ())))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ModelSchemaError(f"malformed tree JSON: {exc!r}") from None
+        return _json_object(text, "tree", _TREE_KEYS, ("feature_names",),
+                            lambda root, feature_names=(): cls(_node_from_obj(root), feature_names))
 
     def to_text(self) -> str:
         lines: list[str] = []
@@ -168,12 +187,19 @@ def _node_to_obj(node):
     }
 
 
-def _node_from_obj(obj):
+#: The keys of a tree file and of its two kinds of node, with their types
+#: (``model._json_value``).  A tree file may leave out "feature_names".
+_TREE_KEYS = {"feature_names": tuple[str, ...], "root": dict}
+_LEAF_KEYS = {"label": str, "counts": tuple[int, int]}
+_SPLIT_KEYS = {"feature": int, "left": dict, "right": dict}
+
+
+def _node_from_obj(obj: dict):
+    def split(feature, left, right):
+        return Split(feature, _node_from_obj(left), _node_from_obj(right))
     if "label" in obj:
-        if obj["label"] not in (RISKY, PROFITABLE):
-            raise ModelSchemaError(f"unknown leaf label {obj['label']!r}")
-        return Leaf(obj["label"], tuple(int(c) for c in obj["counts"]))
-    return Split(int(obj["feature"]), _node_from_obj(obj["left"]), _node_from_obj(obj["right"]))
+        return _json_object(obj, "leaf", _LEAF_KEYS, build=Leaf)
+    return _json_object(obj, "split", _SPLIT_KEYS, build=split)
 
 
 def _gini(n_profitable: float, n_risky: float) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 from .bootstrap import edge_confidence, prune
 from .classifier import (
@@ -77,22 +78,29 @@ def _positive(text: str) -> int:
     return value
 
 
-def _search_int(field: str):
-    """Argparse type for an int ``LearnOptions`` field, bounded by that
-    class's own check, so a bad value is a usage error naming the flag."""
-    def parse(text: str) -> int:
-        value = int(text)
+#: The annotated type of each ``LearnOptions`` field, resolved once.
+_LEARN_KINDS = get_type_hints(LearnOptions)
+
+
+def _search(field: str):
+    """Argparse type for a ``LearnOptions`` field: the text read as the
+    field's annotated type and checked by that class's own check, so a bad
+    value is a usage error naming the flag."""
+    kind = _LEARN_KINDS[field]
+
+    def parse(text: str):
+        value = kind(text)
         try:
             LearnOptions(**{field: value})
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
-    parse.__name__ = "int"  # so a non-integer reads "invalid int value: 'x'", as for type=int
+    parse.__name__ = kind.__name__  # so "x" reads "invalid int value: 'x'", as for type=int
     return parse
 
 
 def _cmd_simulate(args) -> int:
-    params = _json_object(_read(args.spec), "--spec file", ()) if args.spec else {}
+    params = _json_object(_read(args.spec), "--spec file") if args.spec else {}
     spec, truth, data = generate_instance(args.mode, params, args.samples, args.seed)
     _write(args.out_data, data.to_csv())
     _log(f"wrote {data.m}x{data.n} dataset to {args.out_data}")
@@ -198,7 +206,7 @@ def _cmd_stress(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = SbcnModel.from_json(_read(args.model))
-    truth = dag_from_json(_read(args.truth))
+    truth = dag_from_json(_read(args.truth), model.names)
     stats = arc_contingency(model.dag, truth)
     header = "tp,fp,fn,tn,fp_rate_of_inferred,fn_rate_of_true,fpr,tpr"
     row = ",".join(
@@ -251,11 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bootstrap", type=_count, default=0, metavar="B", help="replicates; 0 disables")
     p.add_argument("--confidence", type=_fraction, default=0.5, help="bootstrap pruning threshold")
-    p.add_argument("--seed", type=int, default=LearnOptions.seed)
-    p.add_argument("--max-iterations", type=_search_int("max_iterations"),
+    p.add_argument("--seed", type=_search("seed"), default=LearnOptions.seed)
+    p.add_argument("--max-iterations", type=_search("max_iterations"),
                    default=LearnOptions.max_iterations)
-    p.add_argument("--restarts", type=_search_int("restarts"), default=LearnOptions.restarts)
-    p.add_argument("--smoothing", type=float, default=LearnOptions.smoothing)
+    p.add_argument("--restarts", type=_search("restarts"), default=LearnOptions.restarts)
+    p.add_argument("--smoothing", type=_search("smoothing"), default=LearnOptions.smoothing)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-report", help="bootstrap confidence JSON to write")
     p.add_argument("--threads", type=_count, default=0,

@@ -16,7 +16,7 @@ import numpy as np
 from .bootstrap import _fan_out, edge_confidence, prune
 from .datagen import generate_instance, generator_params
 from .learn import LearnOptions, _candidate_rule, learn_model
-from .model import ContingencyStats, Dag, ModelSchemaError, _json_object, _json_value, float_repr
+from .model import ContingencyStats, Dag, ModelSchemaError, _json_object, float_repr
 from .seeds import derive_seed
 
 RATE_FIELDS = ("fp_rate_of_inferred", "fn_rate_of_true", "fpr", "tpr")
@@ -101,16 +101,12 @@ class SweepConfig:
         as that of its ``LearnOptions`` field; fields without a default are required."""
         kinds = get_type_hints(cls) | {k: t for k, t in get_type_hints(LearnOptions).items() if k in cls.SEARCH}
         del kinds["search"]
-        obj = _json_object(text, "config", [f.name for f in fields(cls) if f.default is MISSING])
-        unknown = sorted(set(obj) - set(kinds))
-        if unknown:
-            raise ModelSchemaError(f"unknown config keys: {', '.join(unknown)}")
-        try:
-            values = {k: _json_value(k, v, kinds[k]) for k, v in obj.items()}
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+
+        def build(**values):
             search = LearnOptions(**{k: values.pop(k) for k in cls.SEARCH if k in values})
-        except ValueError as exc:
-            raise ModelSchemaError(str(exc)) from None
-        return cls(search=search, **values)
+            return cls(search=search, **values)
+        return _json_object(text, "config", kinds, kinds.keys() - required, build)
 
 
 @dataclass(frozen=True)

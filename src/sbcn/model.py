@@ -11,9 +11,8 @@ from __future__ import annotations
 import heapq
 import json
 import sys
-import typing
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 
 import numpy as np
@@ -30,42 +29,78 @@ class CsvFormatError(ValueError):
 
 
 class ModelSchemaError(ValueError):
-    """Model or report JSON does not match the expected schema."""
+    """A JSON file does not match its declared keys and types, or holds a
+    value the type it is read into rejects."""
 
 
 _KIND_TEXT = {bool: "true or false", int: "an integer", float: "a finite number",
-              str: "a string", dict: "a JSON object", tuple: "a list"}
+              str: "a string", dict: "a JSON object", tuple: "a list", np.ndarray: "a list"}
 
 
 def _json_value(what: str, value, kind):
-    """A value decoded from JSON, read as ``kind``: bool, int (also an
-    integral float), float (finite), str, dict, or ``tuple[X, ...]`` (a list
-    of X).  A bool is never a number.  ``ValueError`` naming ``what`` otherwise."""
-    origin = typing.get_origin(kind) or kind
+    """A value decoded from JSON, read as ``kind``: bool, int (an integral float too), finite
+    float, str, dict, ``X | None``, a list as ``tuple[X, ...]`` or ``tuple[X, Y]``, or a list
+    of numbers as ``np.ndarray``.  No bool is a number.  ``ValueError`` naming ``what`` otherwise."""
+    origin, args = getattr(kind, "__origin__", kind), getattr(kind, "__args__", ())
+    if type(None) in args:
+        return None if value is None else _json_value(what, value, args[0])
     if origin is tuple and isinstance(value, list):
-        return tuple(_json_value(f"{what} entries", v, typing.get_args(kind)[0]) for v in value)
+        kinds = args[:1] * len(value) if args[1:] == (...,) else args  # one kind per entry
+        if tuple(map(type, value)) == kinds and (
+                float not in kinds or all(abs(v) <= sys.float_info.max for v in value if type(v) is float)):
+            return tuple(value)  # every entry already of its kind
+        row = args[0].__args__ if args[1:] == (...,) and getattr(args[0], "__origin__", None) is tuple else ()
+        if row and ... not in row and all(type(v) is list and len(v) == len(row) for v in value):
+            # a list of fixed-length lists, such as edges: read column by column
+            columns = (_json_value(what, list(c), tuple[k, ...]) for c, k in zip(zip(*value), row))
+            return tuple(zip(*columns))
+        if len(value) == len(kinds):
+            return tuple(_json_value(f"{what} entries", v, k) for v, k in zip(value, kinds))
+    if kind is np.ndarray and isinstance(value, list):  # a CPT table: its entry types in one pass
+        floats = list(map(type, value)).count(float) == len(value)
+        return np.fromiter(value if floats else _json_value(what, value, tuple[float, ...]), np.float64)
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
     if kind is int and type(value) is float and value.is_integer():
         return int(value)
     if kind is not float and type(value) is kind:
         return value
-    raise ValueError(f"{what} must be {_KIND_TEXT[origin]}, got {value!r}")
+    text = f"a list of {len(args)}" if origin is tuple and args[1:] != (...,) else _KIND_TEXT[origin]
+    raise ValueError(f"{what} must be {text}, got {value!r}")
 
 
-def _json_object(text: str, what: str, required) -> dict:
-    """``text`` parsed as a JSON object holding every key in ``required``;
-    ``ModelSchemaError`` naming ``what`` otherwise."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelSchemaError(f"{what} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
+class _FloatTexts(dict):
+    """Each float text parsed once: a CPT table repeats few distinct values."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
+def _json_object(source, what: str, kinds: dict | None = None, optional=(), build=dict):
+    """``build(**values)`` for ``source``, JSON text or its decoded value, read as the object
+    ``kinds`` declares: each key but the ``optional`` ones, no other, each value read as its
+    kind by ``_json_value``.  Without ``kinds``, the decoded object.  Every fault, a
+    ``ValueError`` of ``build`` too, is a ``ModelSchemaError``; ``what`` names the object."""
+    if isinstance(source, str):
+        try:
+            source = json.loads(source, parse_float=_FloatTexts().__getitem__)
+        except json.JSONDecodeError as exc:
+            raise ModelSchemaError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(source, dict):
         raise ModelSchemaError(f"{what} must be a JSON object")
-    missing = [k for k in required if k not in obj]
+    if kinds is None:
+        return source
+    missing = [k for k in kinds if k not in source and k not in optional]
     if missing:
         raise ModelSchemaError(f"{what} is missing keys: {', '.join(missing)}")
-    return obj
+    unknown = sorted(source.keys() - kinds.keys())
+    if unknown:
+        raise ModelSchemaError(f"unknown {what} keys: {', '.join(unknown)}")
+    try:
+        return build(**{k: _json_value(k, v, kinds[k]) for k, v in source.items()})
+    except ValueError as exc:
+        raise ModelSchemaError(str(exc)) from None
 
 
 def _kahn_order(n: int, edges) -> list[int]:
@@ -499,17 +534,30 @@ class SbcnModel(_Value):
 
     @classmethod
     def from_json(cls, text: str) -> "SbcnModel":
-        obj = _json_object(text, "model", ("n", "names", "rank", "edges", "cpts"))
-        try:
-            dag = Dag(obj["n"], [(e[0], e[1]) for e in obj["edges"]])
-            cpts = [
-                Cpt(c["node"], c["parents"], c["table"]) for c in obj["cpts"]
-            ]
-            conf = obj.get("confidence")
-            confidence = None if conf is None else {(u, v): c for u, v, c in conf}
-            return cls(dag, cpts, obj["rank"], confidence, obj["names"])
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ModelSchemaError(f"malformed model JSON: {exc!r}") from None
+        def build(n, names, edges, rank, cpts, confidence=None):
+            cpts = [_json_object(c, "cpts entry", _CPT_KEYS, build=Cpt) for c in cpts]
+            conf = None if confidence is None else {(u, v): c for u, v, c in confidence}
+            return cls(_dag(n, edges, names), cpts, rank, conf, names)
+        return _json_object(text, "model", _MODEL_KEYS, ("confidence",), build)
+
+
+#: The keys of a DAG file, a model file and a model's CPT entries, with their
+#: types (``_json_value``).  A DAG file may leave out "names"; a model file
+#: holds a DAG file's keys and may leave out "confidence".
+_DAG_KEYS = {"n": int, "names": tuple[str, ...], "edges": tuple[tuple[int, int], ...]}
+_MODEL_KEYS = _DAG_KEYS | {"rank": tuple[int, ...], "cpts": tuple[dict, ...],
+                           "confidence": tuple[tuple[int, int, float], ...] | None}
+_CPT_KEYS = {"node": int, "parents": tuple[int, ...], "table": np.ndarray}
+
+
+def _dag(n, edges, names=None, expect=None) -> Dag:
+    """``Dag(n, edges)``, whose file's ``names``, if any, are one per node and equal ``expect`` if given."""
+    if names is not None and len(names) != n:
+        raise ValueError(f"names has {len(names)} entries, expected {n}")
+    for i, (got, want) in enumerate(zip(names or (), expect or ())):
+        if got != want:
+            raise ValueError(f"names[{i}] is {got!r}, expected {want!r} (variables in another order)")
+    return Dag(n, edges)
 
 
 def validate_model(model: SbcnModel) -> list[str]:
@@ -526,8 +574,11 @@ def validate_model(model: SbcnModel) -> list[str]:
     if sorted(nodes) != list(range(n)):
         problems.append(f"CPT node set {sorted(nodes)} does not cover 0..{n - 1} exactly once")
     else:
+        parent_lists: list[list[int]] = [[] for _ in range(n)]
+        for u, v in sorted(model.dag.edges):
+            parent_lists[v].append(u)
         for cpt in model.cpts:
-            expected = model.dag.parents(cpt.node)
+            expected = tuple(parent_lists[cpt.node])
             if cpt.parents != expected:
                 problems.append(
                     f"node {cpt.node}: CPT parents {list(cpt.parents)} != "
@@ -598,12 +649,9 @@ def dag_to_json(dag: Dag, names=None) -> str:
     return _dumps_indent2(obj) + "\n"
 
 
-def dag_from_json(text: str) -> Dag:
-    try:
-        obj = json.loads(text)
-        return Dag(obj["n"], [(e[0], e[1]) for e in obj["edges"]])
-    except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
-        raise ModelSchemaError(f"malformed DAG JSON: {exc!r}") from None
+def dag_from_json(text: str, names=None) -> Dag:
+    """The DAG of ``dag_to_json``'s text; its "names" must equal ``names`` if both are given."""
+    return _json_object(text, "DAG", _DAG_KEYS, ("names",), partial(_dag, expect=names))
 
 
 def scenarios_to_csv(scenarios: np.ndarray, names) -> str:

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sbcn.bootstrap import BootstrapReport
+from sbcn.classifier import DecisionTree, risky_paths
 from sbcn.cli import main
-from sbcn.datagen import ground_truth_dag, market_factor_spec, simulate_dataset
+from sbcn.datagen import generate_instance, ground_truth_dag, market_factor_spec, simulate_dataset
 from sbcn.learn import LearnOptions, fit_cpts
-from sbcn.model import BinaryDataset, Dag, SbcnModel, dag_from_json
+from sbcn.model import BinaryDataset, Dag, SbcnModel, dag_from_json, dag_to_json
 
 
 def run(args):
@@ -181,6 +183,7 @@ class TestInfer:
     @pytest.mark.parametrize("flag, value, message", [
         ("--max-iterations", "0", "argument --max-iterations: max_iterations must be >= 1"),
         ("--restarts", "-1", "argument --restarts: restarts must be >= 0"),
+        ("--smoothing", "-1", "argument --smoothing: smoothing must be >= 0"),
     ])
     def test_search_bound_usage_error(self, tmp_path, capsys, flag, value, message):
         # the data file does not exist: the flag fails before it is read
@@ -227,23 +230,33 @@ class TestInfer:
         capsys.readouterr()
         searched = []
         monkeypatch.setattr("sbcn.cli.learn_model", lambda *a: searched.append(a))
-        assert run(["infer", "--data", data_path, "--smoothing", "nan",
-                    "--out-model", tmp_path / "m.json"]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: smoothing must be >= 0"]
+        with pytest.raises(SystemExit) as exc:
+            run(["infer", "--data", data_path, "--smoothing", "nan", "--out-model", tmp_path / "m.json"])
+        assert exc.value.code == 2
+        assert "argument --smoothing: smoothing must be >= 0" in capsys.readouterr().err
         assert searched == []
         assert not (tmp_path / "m.json").exists()
 
     def test_infinite_smoothing_fails_before_the_search(self, tmp_path, capsys, monkeypatch):
-        data_path = tmp_path / "data.csv"
-        run(["simulate", "--samples", 200, "--seed", 1, "--out-data", data_path])
-        capsys.readouterr()
+        # the data file does not exist: the flag fails before it is read
         searched = []
         monkeypatch.setattr("sbcn.cli.learn_model", lambda *a: searched.append(a))
-        assert run(["infer", "--data", data_path, "--smoothing", "inf",
-                    "--out-model", tmp_path / "m.json"]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: smoothing must be finite"]
+        with pytest.raises(SystemExit) as exc:
+            run(["infer", "--data", tmp_path / "absent.csv", "--smoothing", "inf",
+                 "--out-model", tmp_path / "m.json"])
+        assert exc.value.code == 2
+        assert "argument --smoothing: smoothing must be finite" in capsys.readouterr().err
         assert searched == []
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--smoothing", "x", "float"), ("--seed", "1.5", "int"), ("--restarts", "x", "int"),
+    ])
+    def test_search_flag_of_the_wrong_type(self, tmp_path, capsys, flag, value, kind):
+        with pytest.raises(SystemExit) as exc:
+            run(["infer", "--data", tmp_path / "absent.csv", flag, value, "--out-model", tmp_path / "m.json"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid {kind} value: '{value}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bootstrap", [[], ["--bootstrap", 0]])
     def test_report_without_bootstrap_usage_error(self, tmp_path, capsys, bootstrap):
@@ -399,6 +412,50 @@ class TestEvaluate:
         lines = read(out).splitlines()
         assert lines[0].startswith("tp,fp,fn,tn")
         assert len(lines) == 2
+
+    def test_truth_in_another_variable_order_is_refused(self, tmp_path, capsys):
+        data, truth, model = tmp_path / "d.csv", tmp_path / "t.json", tmp_path / "m.json"
+        run(["simulate", "--samples", 500, "--seed", 3, "--out-data", data, "--out-truth", truth])
+        run(["infer", "--data", data, "--out-model", model])
+        assert run(["evaluate", "--model", model, "--truth", truth, "--out", tmp_path / "a.csv"]) == 0
+        assert read(tmp_path / "a.csv").splitlines()[1].startswith("52,")
+        # the same DAG written over the reversed variable order
+        obj = json.loads(read(truth))
+        last = obj["n"] - 1
+        reversed_truth = tmp_path / "r.json"
+        reversed_truth.write_text(json.dumps({
+            "n": obj["n"], "names": obj["names"][::-1],
+            "edges": sorted([last - u, last - v] for u, v in obj["edges"]),
+        }))
+        capsys.readouterr()
+        out = tmp_path / "b.csv"
+        assert run(["evaluate", "--model", model, "--truth", reversed_truth, "--out", out]) == 1
+        first, last_name = obj["names"][0], obj["names"][-1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: names[0] is {last_name!r}, expected {first!r} (variables in another order)"
+        ]
+        assert not out.exists()
+
+
+class TestArtifactsReadBack:
+    def test_every_written_file_reads_back_equal(self, tmp_path):
+        """Each JSON file the CLI writes reads back to an object that writes
+        the same bytes again, and the truth DAG to the generator's DAG."""
+        data, truth = tmp_path / "d.csv", tmp_path / "t.json"
+        model, report, tree = tmp_path / "m.json", tmp_path / "r.json", tmp_path / "tree.json"
+        assert run(["simulate", "--samples", 400, "--seed", 6, "--out-data", data,
+                    "--out-truth", truth]) == 0
+        assert run(["infer", "--data", data, "--bootstrap", 2, "--threads", 1, "--seed", 6,
+                    "--out-model", model, "--out-report", report]) == 0
+        assert run(["stress", "--model", model, "--risky-fraction", 0.2, "--seed", 6,
+                    "--out-scenarios", tmp_path / "s.csv", "--out-tree", tree]) == 0
+        spec, dag, _ = generate_instance("famafrench", {}, 400, 6)
+        assert dag_from_json(read(truth), spec.names) == dag
+        assert dag_to_json(dag_from_json(read(truth)), spec.names) == read(truth)
+        assert SbcnModel.from_json(read(model)).to_json() == read(model)
+        assert BootstrapReport.from_json(read(report)).to_json() == read(report)
+        assert DecisionTree.from_json(read(tree)).to_json() == read(tree)
+        assert risky_paths(DecisionTree.from_json(read(tree)))
 
 
 class TestSweep:

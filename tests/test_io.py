@@ -3,10 +3,12 @@
 The dataset CSV reader has a one-pass path for the canonical layout and a
 per-row path for everything else; both must give the oracle's dataset, or
 the oracle's error message.  The CSV writers and the indent-2 JSON writer
-must give the oracle's bytes.
+must give the oracle's bytes.  The JSON readers must reject every value
+not of its declared type, naming its key.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,11 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dataset_csv_oracle, rows_csv_oracle
+from sbcn.bootstrap import BootstrapReport
+from sbcn.classifier import DecisionTree
 from sbcn.model import (
     BinaryDataset,
     CsvFormatError,
+    Dag,
+    ModelSchemaError,
+    SbcnModel,
     _canonical_csv,
     _dumps_indent2,
+    dag_from_json,
     float_repr,
     scenarios_to_csv,
 )
@@ -296,3 +304,95 @@ class TestFloatRepr:
         assert float_repr(value) == text
         if text != "nan":
             assert float(text) == float(value)
+
+
+MODEL = {"n": 2, "names": ["a", "b"], "rank": [0, 1], "edges": [[0, 1]],
+         "cpts": [{"node": 0, "parents": [], "table": [0.5]},
+                  {"node": 1, "parents": [0], "table": [0.25, 0.75]}],
+         "confidence": [[0, 1, 0.5]]}
+REPORT = {"replicates": 3, "threshold": 0.5, "confidence": [[0, 1, 0.5]]}
+LEAF = {"label": "risky", "counts": [1, 2]}
+TREE = {"feature_names": ["x", "y"], "root": {"feature": 0, "left": LEAF, "right": LEAF}}
+
+
+def edited(base, path, value):
+    """A deep copy of ``base`` with the entry at ``path`` set to ``value``."""
+    root = obj = json.loads(json.dumps(base))
+    *head, last = path
+    for key in head:
+        obj = obj[key]
+    obj[last] = value
+    return root
+    return obj
+
+
+class TestJsonReaders:
+    """Every reader reads its keys against one declaration, so an ill-typed
+    value fails as a ``ModelSchemaError`` whose message names its key."""
+
+    READERS = {"model": SbcnModel.from_json, "report": BootstrapReport.from_json,
+               "tree": DecisionTree.from_json, "dag": dag_from_json}
+
+    @pytest.mark.parametrize("reader, obj, key", [
+        pytest.param("model", edited(MODEL, ["n"], "2"), "n", id="n-string"),
+        pytest.param("model", edited(MODEL, ["n"], 2.7), "n", id="n-fraction"),
+        pytest.param("model", edited(MODEL, ["names"], "ab"), "names", id="names-string"),
+        pytest.param("model", edited(MODEL, ["rank"], [0.9, 1.2]), "rank", id="rank-fractions"),
+        pytest.param("model", edited(MODEL, ["cpts", 1, "table", 0], "0.5"), "table",
+                     id="table-entry-string"),
+        pytest.param("model", edited(MODEL, ["confidence", 0, 2], "0.5"), "confidence",
+                     id="confidence-string"),
+        pytest.param("model", edited(MODEL, ["edges", 0], [0, 1, 9]), "edges", id="edge-triple"),
+        pytest.param("model", edited(MODEL, ["comment"], "hi"), "comment", id="unknown-key"),
+        pytest.param("report", edited(REPORT, ["replicates"], 2.5), "replicates",
+                     id="replicates-fraction"),
+        pytest.param("report", edited(REPORT, ["replicates"], True), "replicates",
+                     id="replicates-bool"),
+        pytest.param("report", edited(REPORT, ["replicates"], "3"), "replicates",
+                     id="replicates-string"),
+        pytest.param("tree", edited(TREE, ["root", "feature"], -1), "feature",
+                     id="feature-negative"),
+        pytest.param("tree", edited(TREE, ["root", "feature"], "0"), "feature", id="feature-string"),
+        pytest.param("tree", edited(TREE, ["root", "left", "counts"], [1]), "counts",
+                     id="counts-single"),
+        pytest.param("tree", edited(TREE, ["root", "right"], TREE["root"]), "feature",
+                     id="feature-repeated-on-a-path"),
+        pytest.param("dag", {"n": 2, "names": ["a"], "edges": []}, "names", id="dag-names-short"),
+    ])
+    def test_ill_typed_value_names_the_key(self, reader, obj, key):
+        with pytest.raises(ModelSchemaError) as exc:
+            self.READERS[reader](json.dumps(obj))
+        assert re.search(rf"\b{key}\b", str(exc.value)), str(exc.value)
+
+    @pytest.mark.parametrize("reader, obj", [
+        ("model", MODEL), ("report", REPORT), ("tree", TREE),
+        ("dag", {"n": 2, "edges": [[0, 1]]}),
+    ])
+    def test_well_typed_file_reads(self, reader, obj):
+        self.READERS[reader](json.dumps(obj))
+
+    @pytest.mark.parametrize("entry", [True, None, [0.5], {}, 10 ** 400])
+    def test_table_entry_of_another_type(self, entry):
+        with pytest.raises(ModelSchemaError, match="^table entries must be a finite number"):
+            SbcnModel.from_json(json.dumps(edited(MODEL, ["cpts", 0, "table", 0], entry)))
+
+    def test_integral_table_entries_read_as_floats(self):
+        model = SbcnModel.from_json(json.dumps(edited(MODEL, ["cpts", 0, "table"], [1])))
+        assert model.cpt(0).table.tolist() == [1.0]
+
+    def test_feature_past_the_names(self):
+        with pytest.raises(ModelSchemaError, match="feature 2 has no name"):
+            DecisionTree.from_json(json.dumps(edited(TREE, ["root", "feature"], 2)))
+
+    def test_unknown_label(self):
+        with pytest.raises(ModelSchemaError, match="^label must be 'risky' or 'profitable'"):
+            DecisionTree.from_json(json.dumps(edited(TREE, ["root", "left", "label"], "meh")))
+
+    def test_null_confidence_is_no_confidence(self):
+        assert SbcnModel.from_json(json.dumps(edited(MODEL, ["confidence"], None))).confidence is None
+
+    def test_dag_names_must_match_the_expected_order(self):
+        text = json.dumps({"n": 2, "names": ["b", "a"], "edges": [[0, 1]]})
+        assert dag_from_json(text, ["b", "a"]) == Dag(2, [(0, 1)])
+        with pytest.raises(ModelSchemaError, match=r"^names\[0\] is 'b', expected 'a'"):
+            dag_from_json(text, ["a", "b"])
