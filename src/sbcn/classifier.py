@@ -134,16 +134,17 @@ class DecisionTree:
     feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        def check(node, above: frozenset):
+        def check(node, above: frozenset, path: str):
             if isinstance(node, Split):
                 if node.feature in above:
-                    raise ValueError(f"feature {node.feature} repeats on a root-to-leaf path")
+                    raise ValueError(
+                        f"{path}: feature {node.feature} repeats on a root-to-leaf path")
                 if self.feature_names and node.feature >= len(self.feature_names):
-                    raise ValueError(f"feature {node.feature} has no name among "
+                    raise ValueError(f"{path}: feature {node.feature} has no name among "
                                      f"{len(self.feature_names)} feature_names")
-                check(node.left, above | {node.feature})
-                check(node.right, above | {node.feature})
-        check(self.root, frozenset())
+                check(node.left, above | {node.feature}, f"{path}.left")
+                check(node.right, above | {node.feature}, f"{path}.right")
+        check(self.root, frozenset(), "root")
 
     def to_json(self) -> str:
         obj = {"feature_names": list(self.feature_names), "root": _node_to_obj(self.root)}
@@ -194,12 +195,15 @@ _LEAF_KEYS = {"label": str, "counts": tuple[int, int]}
 _SPLIT_KEYS = {"feature": int, "left": dict, "right": dict}
 
 
-def _node_from_obj(obj: dict):
+def _node_from_obj(obj: dict, path: str = "root"):
+    """The node at ``path``, its keys from the root (``root.left.right``),
+    which starts the message of each fault in it."""
     def split(feature, left, right):
-        return Split(feature, _node_from_obj(left), _node_from_obj(right))
+        return Split(feature, _node_from_obj(left, f"{path}.left"),
+                     _node_from_obj(right, f"{path}.right"))
     if "label" in obj:
-        return _json_object(obj, "leaf", _LEAF_KEYS, build=Leaf)
-    return _json_object(obj, "split", _SPLIT_KEYS, build=split)
+        return _json_object(obj, "leaf", _LEAF_KEYS, build=Leaf, at=path)
+    return _json_object(obj, "split", _SPLIT_KEYS, build=split, at=path)
 
 
 def _gini(n_profitable: float, n_risky: float) -> float:

@@ -22,6 +22,9 @@ from .seeds import derive_seed
 
 LOG_EPS = 1e-12  # floor for log(0) so scores stay finite
 _POWERS_OF_TWO = 2.0 ** np.arange(1, 53)  # parent weights; float64 is exact to 2^53
+# Codes of at most this many parents stay below 2^24, which float32 holds
+# exactly (``_config_codes``).
+_FLOAT32_MAX_PARENTS = 23
 # The packed-column kernel scores a parent set when the data has at most
 # _PACKED_MAX_ROWS rows and the set at most _PACKED_MAX_PARENTS parents;
 # above either, the bincount kernel is as fast or faster (README, "Search
@@ -166,10 +169,28 @@ def prima_facie_edges(dataset: BinaryDataset, tp_mode: str = "rank") -> EdgeSet:
 
 
 def _grouped_rows(dataset: BinaryDataset) -> tuple[np.ndarray, np.ndarray]:
-    """The dataset's distinct rows as column-major float64, the layout
-    ``_node_counts`` reads fastest, and how often each occurs, as float64."""
+    """The dataset's distinct rows as column-major float32, the layout and
+    width ``_config_codes`` reads fastest, and how often each occurs, as
+    float64."""
     rows, counts = dataset.distinct_rows
-    return rows.astype(np.float64, order="F"), counts.astype(np.float64)
+    return rows.astype(np.float32, order="F"), counts.astype(np.float64)
+
+
+def _config_codes(x: np.ndarray, v: int, parents: tuple[int, ...]) -> np.ndarray:
+    """Each row of ``x`` (from ``_grouped_rows``) coded as 2*config + value
+    of v, with parent j weighted 2^(j+1), by one matvec.
+
+    Every code and every partial sum is an integer below 2^(q+1) for q
+    parents.  Up to _FLOAT32_MAX_PARENTS parents that is below 2^24, so the
+    float32 product is exact in any summation order; above, the weights are
+    float64, numpy upcasts the product, and sums of distinct powers of two
+    below 2^53 are exact there.
+    """
+    q = len(parents)
+    w = np.zeros(x.shape[1], np.float32 if q <= _FLOAT32_MAX_PARENTS else np.float64)
+    w[v] = 1.0
+    w[list(parents)] = _POWERS_OF_TWO[:q]
+    return (x @ w).astype(np.intp)
 
 
 def _node_counts(x: np.ndarray, v: int, parents: tuple[int, ...], counts: np.ndarray):
@@ -177,16 +198,12 @@ def _node_counts(x: np.ndarray, v: int, parents: tuple[int, ...], counts: np.nda
     parents; ``ones`` is a strided view of the bincount.
 
     ``x`` and ``counts`` come from ``_grouped_rows``: each row of ``x`` is
-    counted ``counts`` times.  One matvec codes each row as 2*config + value
-    of v, with parent j weighted 2^(j+1): sums of distinct powers of two are
-    exact in float64.  One weighted bincount then sums the rows' counts per
-    code.  The counts are integers, and float64 sums of integers below 2^53
-    are exact in any order, so the result is the integer count over all rows.
+    counted ``counts`` times.  One weighted bincount sums the rows' counts per
+    ``_config_codes`` code.  The counts are integers, and float64 sums of
+    integers below 2^53 are exact in any order, so the result is the integer
+    count over all rows.
     """
-    w = np.zeros(x.shape[1])
-    w[v] = 1.0
-    w[list(parents)] = _POWERS_OF_TWO[: len(parents)]
-    pairs = np.bincount((x @ w).astype(np.intp), weights=counts, minlength=2 << len(parents))
+    pairs = np.bincount(_config_codes(x, v, parents), weights=counts, minlength=2 << len(parents))
     ones = pairs[1::2]
     return pairs[0::2] + ones, ones
 
@@ -237,10 +254,10 @@ class _ScoreTable:
     is row i).  Each configuration's rows are the AND of each parent column
     or its complement, built in ``_node_counts``' configuration order
     (parent j is bit j), so its counts are two popcounts.  Its term is read
-    from ``_term_rows``, and numpy sums the terms of the nonempty
-    configurations in that order, as ``_node_ll`` does: every score is
-    bit-equal to ``_node_ll``'s, which scores everything else over the
-    dataset's distinct rows and their counts.
+    from ``_term_rows``, and ``_pairwise_sum`` adds the terms of the nonempty
+    configurations in that order as numpy's ``add.reduce`` in ``_node_ll``
+    does: every score is bit-equal to ``_node_ll``'s, which scores everything
+    else over the dataset's distinct rows and their counts.
     """
 
     def __init__(self, dataset: BinaryDataset):
@@ -288,7 +305,38 @@ class _ScoreTable:
         off, on = self._zeros[parents[-1]], self._ones[parents[-1]]
         terms = [rows[c.bit_count()][(c & child).bit_count()] for r in configs if (c := r & off)]
         terms += [rows[c.bit_count()][(c & child).bit_count()] for r in configs if (c := r & on)]
-        return float(np.add.reduce(terms))
+        return _pairwise_sum(terms)
+
+
+def _pairwise_sum(terms: list[float]) -> float:
+    """The float64 sum of ``terms`` in the order of numpy's ``add.reduce``
+    (pairwise summation, Higham 1993), so bit-equal to it, without building
+    an array.  Below 8 terms: left to right from 0.0.  Up to 128: eight
+    strided accumulators, combined pairwise, then the rest one by one.  Above:
+    the sums of two halves, split at half the length rounded down to a
+    multiple of 8.  Not ``sum``, which compensates float sums from Python
+    3.12 on, nor ``math.fsum``: both round differently.
+    """
+    n = len(terms)
+    if n < 8:
+        s = 0.0
+        for t in terms:
+            s += t
+        return s
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    end = n - n % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
+    for i in range(8, end, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = terms[i:i + 8]
+        r0 += a0; r1 += a1; r2 += a2; r3 += a3; r4 += a4; r5 += a5; r6 += a6; r7 += a7
+    # numpy adds the pairwise sum to a start of 0.0, so terms that are all
+    # -0.0 sum to 0.0; adding it here first changes no other sum
+    s = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    for t in terms[end:]:
+        s += t
+    return s
 
 
 def log_likelihood(dataset: BinaryDataset, dag: Dag) -> float:

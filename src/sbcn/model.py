@@ -77,30 +77,36 @@ class _FloatTexts(dict):
         return value
 
 
-def _json_object(source, what: str, kinds: dict | None = None, optional=(), build=dict):
+def _json_object(source, what: str, kinds: dict | None = None, optional=(), build=dict, at=""):
     """``build(**values)`` for ``source``, JSON text or its decoded value, read as the object
     ``kinds`` declares: each key but the ``optional`` ones, no other, each value read as its
     kind by ``_json_value``.  Without ``kinds``, the decoded object.  Every fault, a
-    ``ValueError`` of ``build`` too, is a ``ModelSchemaError``; ``what`` names the object."""
+    ``ValueError`` of ``build`` too, is a ``ModelSchemaError``; ``what`` names the object, and
+    ``at``, the place of a nested object such as ``cpts[11]``, starts each of its messages.
+    A ``ModelSchemaError`` of ``build`` is passed on as it is: a nested read placed it."""
+    def fault(message: str) -> ModelSchemaError:
+        return ModelSchemaError(f"{at}: {message}" if at else message)
     if isinstance(source, str):
         try:
             source = json.loads(source, parse_float=_FloatTexts().__getitem__)
         except json.JSONDecodeError as exc:
-            raise ModelSchemaError(f"{what} is not valid JSON: {exc}") from None
+            raise fault(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(source, dict):
-        raise ModelSchemaError(f"{what} must be a JSON object")
+        raise fault(f"{what} must be a JSON object")
     if kinds is None:
         return source
     missing = [k for k in kinds if k not in source and k not in optional]
     if missing:
-        raise ModelSchemaError(f"{what} is missing keys: {', '.join(missing)}")
+        raise fault(f"{what} is missing keys: {', '.join(missing)}")
     unknown = sorted(source.keys() - kinds.keys())
     if unknown:
-        raise ModelSchemaError(f"unknown {what} keys: {', '.join(unknown)}")
+        raise fault(f"unknown {what} keys: {', '.join(unknown)}")
     try:
         return build(**{k: _json_value(k, v, kinds[k]) for k, v in source.items()})
+    except ModelSchemaError:
+        raise
     except ValueError as exc:
-        raise ModelSchemaError(str(exc)) from None
+        raise fault(str(exc)) from None
 
 
 def _kahn_order(n: int, edges) -> list[int]:
@@ -492,6 +498,8 @@ class SbcnModel(_Value):
     names: tuple[str, ...] = ()
 
     def __init__(self, dag, cpts, rank, confidence=None, names=None):
+        if not isinstance(dag, Dag):
+            raise TypeError(f"dag must be a Dag, got {type(dag).__name__}")
         object.__setattr__(self, "dag", dag)
         object.__setattr__(self, "cpts", tuple(sorted(cpts, key=lambda c: c.node)))
         object.__setattr__(self, "rank", tuple(int(r) for r in rank))
@@ -502,7 +510,7 @@ class SbcnModel(_Value):
         if names is None:
             names = tuple(f"v{i}" for i in range(dag.n))
         object.__setattr__(self, "names", tuple(str(s) for s in names))
-        problems = validate_model(self)
+        problems = _part_problems(self)  # Dag and each Cpt checked themselves
         if problems:
             raise ValueError("invalid model: " + "; ".join(problems))
 
@@ -535,7 +543,8 @@ class SbcnModel(_Value):
     @classmethod
     def from_json(cls, text: str) -> "SbcnModel":
         def build(n, names, edges, rank, cpts, confidence=None):
-            cpts = [_json_object(c, "cpts entry", _CPT_KEYS, build=Cpt) for c in cpts]
+            cpts = [_json_object(c, "cpts entry", _CPT_KEYS, build=Cpt, at=f"cpts[{i}]")
+                    for i, c in enumerate(cpts)]
             conf = None if confidence is None else {(u, v): c for u, v, c in confidence}
             return cls(_dag(n, edges, names), cpts, rank, conf, names)
         return _json_object(text, "model", _MODEL_KEYS, ("confidence",), build)
@@ -564,12 +573,27 @@ def validate_model(model: SbcnModel) -> list[str]:
     """Collect invariant violations; an empty list means the model is valid.
 
     Violations are reported as data rather than raised so callers can audit
-    a model wholesale.
+    a model wholesale.  Beside the checks across its parts, the audit runs
+    again those ``Dag`` and ``Cpt`` ran when built, which only a part
+    altered since can fail.
     """
     problems: list[str] = []
-    n = model.dag.n
-    if has_cycle(n, model.dag.edges):
+    if has_cycle(model.dag.n, model.dag.edges):
         problems.append("structure contains a directed cycle")
+    for cpt in model.cpts:
+        if len(cpt.table) != 2 ** len(cpt.parents):
+            problems.append(f"node {cpt.node}: table size {len(cpt.table)} != 2^{len(cpt.parents)}")
+        if not ((cpt.table >= 0.0) & (cpt.table <= 1.0)).all():  # NaN fails too
+            problems.append(f"node {cpt.node}: table entries outside [0, 1]")
+    return problems + _part_problems(model)
+
+
+def _part_problems(model: SbcnModel) -> list[str]:
+    """The invariants across a model's parts: a CPT for each node, with the
+    structure's parents, one rank and one name per node, and confidences
+    in [0, 1] on arcs of the structure only."""
+    problems: list[str] = []
+    n = model.dag.n
     nodes = [c.node for c in model.cpts]
     if sorted(nodes) != list(range(n)):
         problems.append(f"CPT node set {sorted(nodes)} does not cover 0..{n - 1} exactly once")
@@ -584,12 +608,6 @@ def validate_model(model: SbcnModel) -> list[str]:
                     f"node {cpt.node}: CPT parents {list(cpt.parents)} != "
                     f"structure parents {list(expected)}"
                 )
-            if len(cpt.table) != 2 ** len(cpt.parents):
-                problems.append(
-                    f"node {cpt.node}: table size {len(cpt.table)} != 2^{len(cpt.parents)}"
-                )
-            if not ((cpt.table >= 0.0) & (cpt.table <= 1.0)).all():  # NaN fails too
-                problems.append(f"node {cpt.node}: table entries outside [0, 1]")
     if len(model.rank) != n:
         problems.append(f"rank has {len(model.rank)} entries, expected {n}")
     if len(model.names) != n:

@@ -323,7 +323,12 @@ def edited(base, path, value):
         obj = obj[key]
     obj[last] = value
     return root
-    return obj
+
+
+# twelve nodes and no arcs; a tree two splits deep on its right
+MODEL12 = {"n": 12, "names": [f"v{i}" for i in range(12)], "rank": [0] * 12, "edges": [],
+           "cpts": [{"node": i, "parents": [], "table": [0.5]} for i in range(12)]}
+DEEP_TREE = edited(TREE, ["root", "right"], {"feature": 1, "left": LEAF, "right": LEAF})
 
 
 class TestJsonReaders:
@@ -364,6 +369,29 @@ class TestJsonReaders:
             self.READERS[reader](json.dumps(obj))
         assert re.search(rf"\b{key}\b", str(exc.value)), str(exc.value)
 
+    @pytest.mark.parametrize("reader, obj, message", [
+        pytest.param("model", edited(MODEL12, ["cpts", 11, "table", 0], "0.5"),
+                     "cpts[11]: table entries must be a finite number, got '0.5'",
+                     id="12th-cpt-entry"),
+        pytest.param("model", edited(MODEL12, ["cpts", 3, "comment"], "hi"),
+                     "cpts[3]: unknown cpts entry keys: comment", id="4th-cpt-key"),
+        pytest.param("model", edited(MODEL12, ["cpts", 5, "table"], [0.5, 0.5]),
+                     "cpts[5]: table has 2 entries, expected 1", id="6th-cpt-size"),
+        pytest.param("tree", edited(DEEP_TREE, ["root", "right", "left", "label"], "meh"),
+                     "root.right.left: label must be", id="deep-leaf-label"),
+        pytest.param("tree", edited(DEEP_TREE, ["root", "right", "left", "counts"], [1]),
+                     "root.right.left: counts must be a list of 2", id="deep-leaf-counts"),
+        pytest.param("tree", edited(DEEP_TREE, ["root", "right", "feature"], -1),
+                     "root.right: feature must be >= 0", id="deep-split-feature"),
+        pytest.param("tree", edited(DEEP_TREE, ["root", "right", "feature"], 0),
+                     "root.right: feature 0 repeats on a root-to-leaf path",
+                     id="deep-split-repeat"),
+    ])
+    def test_nested_fault_names_its_place(self, reader, obj, message):
+        with pytest.raises(ModelSchemaError) as exc:
+            self.READERS[reader](json.dumps(obj))
+        assert str(exc.value).startswith(message), str(exc.value)
+
     @pytest.mark.parametrize("reader, obj", [
         ("model", MODEL), ("report", REPORT), ("tree", TREE),
         ("dag", {"n": 2, "edges": [[0, 1]]}),
@@ -373,7 +401,8 @@ class TestJsonReaders:
 
     @pytest.mark.parametrize("entry", [True, None, [0.5], {}, 10 ** 400])
     def test_table_entry_of_another_type(self, entry):
-        with pytest.raises(ModelSchemaError, match="^table entries must be a finite number"):
+        message = r"^cpts\[0\]: table entries must be a finite number"
+        with pytest.raises(ModelSchemaError, match=message):
             SbcnModel.from_json(json.dumps(edited(MODEL, ["cpts", 0, "table", 0], entry)))
 
     def test_integral_table_entries_read_as_floats(self):
@@ -385,7 +414,8 @@ class TestJsonReaders:
             DecisionTree.from_json(json.dumps(edited(TREE, ["root", "feature"], 2)))
 
     def test_unknown_label(self):
-        with pytest.raises(ModelSchemaError, match="^label must be 'risky' or 'profitable'"):
+        message = r"^root\.left: label must be 'risky' or 'profitable'"
+        with pytest.raises(ModelSchemaError, match=message):
             DecisionTree.from_json(json.dumps(edited(TREE, ["root", "left", "label"], "meh")))
 
     def test_null_confidence_is_no_confidence(self):

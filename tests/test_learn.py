@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sbcn.learn
@@ -46,10 +46,12 @@ from sbcn.learn import (
     _PACKED_MAX_ROWS,
     _add_descendants,
     _climb_once,
+    _config_codes,
     _descendants,
     _grouped_rows,
     _node_cost,
     _node_counts,
+    _pairwise_sum,
     _score_weights,
     _ScoreTable,
 )
@@ -409,6 +411,47 @@ class TestCountKernel:
 
 def float_bits(x):
     return struct.pack("<d", x)
+
+
+class TestConfigCodes:
+    """The float32 codes equal integer arithmetic up to the largest parent
+    count whose codes stay below 2^24, and one past it, where the product
+    is taken in float64."""
+
+    @pytest.mark.parametrize("q", [23, 24])
+    def test_equal_integer_codes(self, q):
+        rng = np.random.default_rng(q)
+        values = rng.integers(0, 2, size=(300, q + 3))
+        values[0] = 1  # the largest code, 2^(q+1) - 1
+        values[1] = 1 - np.eye(q + 3, dtype=int)[0]  # every parent on, the child off
+        ds = dataset(values)
+        v = 0
+        parents = tuple(sorted(rng.choice(np.arange(1, q + 3), size=q, replace=False).tolist()))
+        rows = ds.distinct_rows[0].astype(np.int64)
+        want = rows[:, v] + sum(rows[:, p] << (j + 1) for j, p in enumerate(parents))
+        assert want.max() == 2 ** (q + 1) - 1
+        x, _ = _grouped_rows(ds)
+        assert x.dtype == np.float32
+        assert np.array_equal(_config_codes(x, v, parents), want)
+
+
+FINITE = st.floats(-1e300, 1e300)  # mixed sign and magnitude; no partial sum overflows
+
+
+class TestPairwiseSum:
+    """The packed kernel's sum gives the bits of numpy's float64 ``add.reduce``
+    on each side of its 8-term and 128-term blocks."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(terms=st.one_of(
+        st.lists(FINITE, max_size=300),
+        st.sampled_from([7, 8, 9, 128, 129, 136, 257]).flatmap(
+            lambda n: st.lists(FINITE, min_size=n, max_size=n)),
+        st.integers(0, 300).map(lambda n: [-0.0] * n),
+    ))
+    @example(terms=[1.0] + [2.0 ** -53] * 8)  # 1.0 left to right, 1 + 2^-50 pairwise
+    def test_equals_numpy_add_reduce(self, terms):
+        assert float_bits(_pairwise_sum(terms)) == float_bits(float(np.add.reduce(terms)))
 
 
 def full_matrix(ds):

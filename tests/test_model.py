@@ -289,6 +289,19 @@ class TestValidateModel:
         with pytest.raises(ValueError, match="invalid model"):
             SbcnModel(dag, [Cpt(0, [], [0.5]), Cpt(1, [], [0.5])], [0, 0])
 
+    def test_constructor_rejects_a_structure_that_is_not_a_dag(self):
+        with pytest.raises(TypeError, match="^dag must be a Dag, got frozenset$"):
+            SbcnModel(frozenset({(0, 1)}), [Cpt(0, [], [0.5]), Cpt(1, [0], [0.5, 0.5])], [0, 0])
+
+    @pytest.mark.parametrize("rank, names, problem", [
+        ([0], None, "rank has 1 entries, expected 2"),
+        ([0, 0], ["a"], "names has 1 entries, expected 2"),
+    ])
+    def test_constructor_checks_lengths_across_parts(self, rank, names, problem):
+        cpts = [Cpt(0, [], [0.5]), Cpt(1, [0], [0.5, 0.5])]
+        with pytest.raises(ValueError, match=f"^invalid model: {problem}$"):
+            SbcnModel(Dag(2, [(0, 1)]), cpts, rank, names=names)
+
     def test_confidence_for_absent_edge_reported(self):
         dag = Dag(2, [(0, 1)])
         with pytest.raises(ValueError, match="absent edge"):
