@@ -12,6 +12,8 @@ import sys
 from dataclasses import fields, replace
 from typing import get_type_hints
 
+import numpy as np
+
 from .bootstrap import edge_confidence, prune
 from .classifier import (
     DecisionTree,
@@ -27,13 +29,14 @@ from .learn import CRITERIA, LEARNERS, PENALTIES, LearnOptions, learn_model
 from .model import (
     BinaryDataset,
     SbcnModel,
+    _csv_body,
+    _csv_head,
     _json_object,
     dag_from_json,
     dag_to_json,
     float_repr,
-    scenarios_to_csv,
 )
-from .sampling import ancestral_sample, stress_sample
+from .sampling import _blocks, clamp
 from .seeds import derive_seed
 
 
@@ -165,6 +168,10 @@ def _parse_clamp(text: str, model: SbcnModel) -> dict[int, int]:
 
 
 def _cmd_stress(args) -> int:
+    """Sample, label and write one row block at a time: beyond the tree
+    sample's factor columns and up measures, memory does not grow with the
+    counts.  The files are those of ``scenarios_to_csv(stress_sample(...))``
+    and of a tree learned on a materialised ``ancestral_sample``."""
     model = SbcnModel.from_json(_read(args.model))
     factors, stocks = _split_nodes(model)
     if args.clamp:
@@ -173,13 +180,23 @@ def _cmd_stress(args) -> int:
     else:
         if not stocks:
             raise ValueError("model has no later-ranked stock variables to build a portfolio on")
-        scenarios = ancestral_sample(model, args.samples_for_tree, derive_seed(args.seed, 0))
-        labels, cut = label_measure(up_counts(scenarios, Portfolio(stocks)), args.risky_fraction)
+        portfolio = Portfolio(stocks)
+        features = np.empty((args.samples_for_tree, len(factors)), dtype=np.uint8)
+        # exact per block: the weights are ones, so every partial sum is a
+        # small integer whatever the summation order
+        measure = np.empty(args.samples_for_tree)
+        start = 0
+        for block in _blocks(model, args.samples_for_tree, derive_seed(args.seed, 0)):
+            stop = start + block.shape[1]
+            features[start:stop] = block[factors].T
+            measure[start:stop] = up_counts(block.T, portfolio)
+            start = stop
+        labels, cut = label_measure(measure, args.risky_fraction)
         _log(
             f"labeled {int(labels.sum())}/{len(labels)} scenarios risky "
             f"(up-count cut {'n/a' if cut is None else float_repr(cut)})"
         )
-        tree = learn_tree(scenarios[:, factors], labels)
+        tree = learn_tree(features, labels)
         tree = DecisionTree(tree.root, tuple(model.names[i] for i in factors))
         _log(tree.to_text().rstrip("\n"))
         if args.out_tree:
@@ -198,8 +215,12 @@ def _cmd_stress(args) -> int:
             "clamping risky path "
             + ", ".join(f"{model.names[i]}={v}" for i, v in sorted(assignment.items()))
         )
-    out = stress_sample(model, assignment, args.count, derive_seed(args.seed, 1))
-    _write(args.out_scenarios, scenarios_to_csv(out, model.names))
+    head = _csv_head(model.names).encode("utf-8")
+    stressed = clamp(model, assignment)
+    with open(args.out_scenarios, "wb") as fh:
+        fh.write(head)
+        for block in _blocks(stressed, args.count, derive_seed(args.seed, 1)):
+            fh.write(_csv_body(block.T))
     _log(f"wrote {args.count} stressed scenarios to {args.out_scenarios}")
     return 0
 

@@ -358,12 +358,17 @@ def _csv_rows(lines, first_row: int, n: int, read, kind: str, skip: int = 0) -> 
 
 
 def _binary_csv(names, values, *extra_head: str) -> str:
-    """Header row, any ``extra_head`` lines, then one 0/1 row per matrix row.
+    """Header row, any ``extra_head`` lines, then one 0/1 row per matrix row
+    (see :func:`_csv_head` and :func:`_csv_body`)."""
+    return _csv_head(names, *extra_head) + _csv_body(values).decode("ascii")
 
-    A cell is written ``1`` iff it is nonzero.  Names that would not read
-    back as written (holding a comma or a line break, padded with
-    whitespace, a first name starting with ``#rank:``, or a lone empty
-    name, whose header line is blank) are rejected.
+
+def _csv_head(names, *extra_head: str) -> str:
+    """The header row and any ``extra_head`` lines, each LF ended.
+
+    Names that would not read back as written (holding a comma or a line
+    break, padded with whitespace, a first name starting with ``#rank:``,
+    or a lone empty name, whose header line is blank) are rejected.
     """
     for col_no, name in enumerate(names, start=1):
         if "," in name or name != name.strip() or len(name.splitlines()) > 1:
@@ -381,6 +386,12 @@ def _binary_csv(names, values, *extra_head: str) -> str:
             "column 1: name '' is the only name, so the header line would be "
             "blank and would not read back from CSV"
         )
+    return "\n".join([",".join(names), *extra_head]) + "\n"
+
+
+def _csv_body(values) -> bytes:
+    """One LF-ended row of comma-separated ASCII cells per row of the 2-D
+    matrix ``values``; a cell is written ``1`` iff it is nonzero."""
     rows, n = values.shape
     # Row layout: cell, comma, cell, ..., cell, LF.  A 0-column row is a
     # bare LF, hence the width of at least 1.
@@ -389,7 +400,7 @@ def _binary_csv(names, values, *extra_head: str) -> str:
     cells[...] = values != 0
     cells += ord("0")
     grid[:, -1] = ord("\n")
-    return "\n".join([",".join(names), *extra_head]) + "\n" + grid.tobytes().decode("ascii")
+    return grid.tobytes()
 
 
 def _canonical_csv(text: str):

@@ -18,29 +18,31 @@ from .model import Cpt, SbcnModel, topological_order
 _BLOCK_ROWS = 8192
 
 
-def ancestral_sample(model: SbcnModel, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` scenarios, one per row, as a (count, n) 0/1 matrix.
+def _blocks(model: SbcnModel, count: int, seed: int):
+    """Yield the draw of :func:`ancestral_sample` as node-major ``(n, rows)``
+    uint8 blocks of at most ``_BLOCK_ROWS`` rows, in row order.
 
-    Nodes are visited in topological order; each node's value is Bernoulli
-    with the CPT probability for its already-sampled parent configuration:
-    cell (r, v) is 1 exactly when uniform (r, v) of ``rng.random((count, n))``
-    lies below that probability.  The uniforms are drawn _BLOCK_ROWS rows at
-    a time, which yields the same values in the same cells, so the result is
-    that of one full draw while memory stays bounded by the block.
+    Cell (v, r) of a block is 1 exactly when uniform (r, v) of the block's
+    ``rng.random((rows, n))`` lies below the CPT entry for row r's parent
+    configuration.  Each yielded array is overwritten by the next block;
+    ``count`` must be nonnegative.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     n = model.n
     rng = np.random.default_rng(seed)
-    cpts = [model.cpt(v) for v in topological_order(model.dag)]
-    out = np.empty((count, n), dtype=np.uint8)
-    bits = np.empty((n, min(count, _BLOCK_ROWS)), dtype=np.uint8)  # node-major block
+    nodes = []  # (cpt, its one entry when all entries are equal, else None)
+    for cpt in map(model.cpt, topological_order(model.dag)):
+        table = cpt.table
+        nodes.append((cpt, table[0] if (table == table[0]).all() else None))
+    bits = np.empty((n, min(count, _BLOCK_ROWS)), dtype=np.uint8)
     for start in range(0, count, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, count - start)
         uniforms = rng.random((rows, n))
         block = bits[:, :rows]
         configs: dict[tuple[int, ...], np.ndarray] = {}  # parent set -> index
-        for cpt in cpts:
+        for cpt, entry in nodes:
+            if entry is not None:  # every parentless and every clamped node
+                np.less(uniforms[:, cpt.node], entry, out=block[cpt.node])
+                continue
             idx = configs.get(cpt.parents)
             if idx is None:
                 # parent j is bit j, the layout of Cpt.table
@@ -49,7 +51,26 @@ def ancestral_sample(model: SbcnModel, count: int, seed: int) -> np.ndarray:
                     idx |= np.left_shift(block[p], j, dtype=np.intp)
                 configs[cpt.parents] = idx
             np.less(uniforms[:, cpt.node], cpt.table[idx], out=block[cpt.node])
-        out[start : start + rows] = block.T
+        yield block
+
+
+def ancestral_sample(model: SbcnModel, count: int, seed: int) -> np.ndarray:
+    """Draw ``count`` scenarios, one per row, as a (count, n) 0/1 matrix.
+
+    Nodes are visited in topological order; each node's value is Bernoulli
+    with the CPT probability for its already-sampled parent configuration:
+    cell (r, v) is 1 exactly when uniform (r, v) of ``rng.random((count, n))``
+    lies below that probability.  The uniforms are drawn _BLOCK_ROWS rows at
+    a time, which yields the same values in the same cells, so the result is
+    that of one full draw while the work space stays bounded by the block.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    out = np.empty((count, model.n), dtype=np.uint8)
+    start = 0
+    for block in _blocks(model, count, seed):
+        out[start : start + block.shape[1]] = block.T
+        start += block.shape[1]
     return out
 
 

@@ -2,17 +2,34 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sbcn.bootstrap import BootstrapReport
-from sbcn.classifier import DecisionTree, risky_paths
+from sbcn.classifier import (
+    DecisionTree,
+    Portfolio,
+    label_measure,
+    learn_tree,
+    risky_paths,
+    up_counts,
+)
 from sbcn.cli import main
 from sbcn.datagen import generate_instance, ground_truth_dag, market_factor_spec, simulate_dataset
 from sbcn.learn import LearnOptions, fit_cpts
-from sbcn.model import BinaryDataset, Dag, SbcnModel, dag_from_json, dag_to_json
+from sbcn.model import (
+    BinaryDataset,
+    Dag,
+    SbcnModel,
+    dag_from_json,
+    dag_to_json,
+    scenarios_to_csv,
+)
+from sbcn.sampling import _BLOCK_ROWS, ancestral_sample, stress_sample
+from sbcn.seeds import derive_seed
 
 
 def run(args):
@@ -396,6 +413,87 @@ class TestStress:
         first = (read(tmp_path / "s.csv"), read(tmp_path / "t.json"))
         assert run(args) == 0
         assert (read(tmp_path / "s.csv"), read(tmp_path / "t.json")) == first
+
+
+B = _BLOCK_ROWS
+COUNTS = [0, 1, B - 1, B, B + 1, 2 * B + 1]
+
+
+def in_memory_stress(model, seed, samples_for_tree, count):
+    """The tree JSON and scenario CSV of `stress` at the default risky
+    fraction and path index, from whole sample matrices."""
+    lowest = min(model.rank)
+    factors = [i for i, r in enumerate(model.rank) if r == lowest]
+    stocks = [i for i, r in enumerate(model.rank) if r != lowest]
+    scenarios = ancestral_sample(model, samples_for_tree, derive_seed(seed, 0))
+    labels, _ = label_measure(up_counts(scenarios, Portfolio(stocks)), 0.1)
+    tree = learn_tree(scenarios[:, factors], labels)
+    tree = DecisionTree(tree.root, tuple(model.names[i] for i in factors))
+    assignment = {factors[f]: v for f, v in risky_paths(tree)[0].items()}
+    stressed = stress_sample(model, assignment, count, derive_seed(seed, 1))
+    return tree.to_json(), scenarios_to_csv(stressed, model.names)
+
+
+class TestStressStream:
+    """`stress` samples, labels and writes one row block at a time; its
+    files equal those of the whole-matrix functions."""
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_clamp_equals_in_memory(self, tmp_path, model_file, count):
+        out = tmp_path / "s.csv"
+        assert run(["stress", "--model", model_file, "--clamp", "Km=0,SMB=1",
+                    "--count", count, "--seed", 7, "--out-scenarios", out]) == 0
+        model = SbcnModel.from_json(read(model_file))
+        index = model.name_to_index()
+        stressed = stress_sample(model, {index["Km"]: 0, index["SMB"]: 1}, count, derive_seed(7, 1))
+        assert out.read_bytes() == scenarios_to_csv(stressed, model.names).encode()
+
+    @pytest.mark.parametrize("samples", [1, B + 1])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_tree_path_equals_in_memory(self, tmp_path, model_file, samples, count):
+        out, tree = tmp_path / "s.csv", tmp_path / "t.json"
+        assert run(["stress", "--model", model_file, "--samples-for-tree", samples,
+                    "--count", count, "--seed", 5, "--out-scenarios", out, "--out-tree", tree]) == 0
+        model = SbcnModel.from_json(read(model_file))
+        expected_tree, expected_csv = in_memory_stress(model, 5, samples, count)
+        assert read(tree) == expected_tree
+        assert out.read_bytes() == expected_csv.encode()
+
+    def test_non_ascii_name_round_trips(self, tmp_path, model_file):
+        model = SbcnModel.from_json(read(model_file))
+        names = ("Kmé",) + model.names[1:]
+        path = tmp_path / "m.json"
+        path.write_text(SbcnModel(model.dag, model.cpts, model.rank, model.confidence,
+                                  names).to_json(), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        assert run(["stress", "--model", path, "--clamp", "Kmé=1", "--count", B + 1,
+                    "--out-scenarios", out]) == 0
+        data = BinaryDataset.from_csv(out.read_text(encoding="utf-8"))
+        assert data.names == names and data.m == B + 1
+        assert (data.column(0) == 1).all()
+
+    @pytest.mark.parametrize("picker", [["--clamp", "Km=0"], ["--samples-for-tree", B + 1]])
+    def test_out_scenarios_in_missing_directory(self, tmp_path, capsys, model_file, picker):
+        out = tmp_path / "absent" / "s.csv"
+        assert run(["stress", "--model", model_file, *picker, "--count", 2 * B + 1,
+                    "--out-scenarios", out]) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "absent" in errors[0]
+        assert not out.parent.exists()
+
+    def test_memory_does_not_grow_with_count(self, tmp_path, model_file):
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert run(["stress", "--model", model_file, "--count", count,
+                            "--samples-for-tree", 1000, "--out-scenarios", tmp_path / "s.csv"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(30000), peak(300000)
+        assert large < 6 * 2**20
+        assert abs(large - small) < 2**20
 
 
 class TestEvaluate:

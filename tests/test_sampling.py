@@ -236,3 +236,22 @@ class TestBlockedSampler:
         model = random_cpt_model(np.random.default_rng(4), 9, edge_prob=0.7)
         got = stress_sample(model, {1: 0, 3: 1}, 2 * B + 1, 5)
         assert np.array_equal(got, ancestral_sample_oracle(clamp(model, {1: 0, 3: 1}), 2 * B + 1, 5))
+
+    @pytest.mark.parametrize("count", [B - 1, B + 1, 2 * B + 1])
+    def test_equal_entry_tables(self, count):
+        # nodes with parents whose tables hold one value each (the strategy
+        # above makes such tables only by clamping or at parentless nodes),
+        # and a child that reads their bits through its configuration index
+        dag = Dag(6, [(0, 2), (1, 2), (0, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 5)])
+        cpts = [
+            Cpt(0, [], [0.5]),
+            Cpt(1, [], [0.6]),
+            Cpt(2, [0, 1], [0.3] * 4),
+            Cpt(3, [0], [0.0] * 2),
+            Cpt(4, [2, 3], [1.0 - 2**-53] * 4),
+            Cpt(5, [2, 3, 4], np.random.default_rng(count).random(8)),
+        ]
+        model = SbcnModel(dag, cpts, [0] * 6)
+        got = ancestral_sample(model, count, 11)
+        assert np.array_equal(got, ancestral_sample_oracle(model, count, 11))
+        assert 0 < got[:, 2].sum() < count and not got[:, 3].any() and got[:, 4].all()
