@@ -79,7 +79,7 @@ from .model import (
     validate_model,
 )
 from .sampling import ancestral_sample, clamp, stress_sample, topological_order
-from .seeds import derive_seed, rng_for
+from .seeds import derive_seed
 
 __version__ = "0.1.0"
 

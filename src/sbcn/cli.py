@@ -24,14 +24,13 @@ from .classifier import (
     up_counts,
 )
 from .datagen import GENERATOR_MODES, generate_instance
-from .evaluation import SweepConfig, arc_contingency, run_sweep
+from .evaluation import RATE_FIELDS, SweepConfig, arc_contingency, run_sweep
 from .learn import CRITERIA, LEARNERS, PENALTIES, LearnOptions, learn_model
 from .model import (
     BinaryDataset,
     SbcnModel,
     _csv_body,
     _csv_head,
-    _json_object,
     dag_from_json,
     dag_to_json,
     float_repr,
@@ -103,7 +102,7 @@ def _search(field: str):
 
 
 def _cmd_simulate(args) -> int:
-    params = _json_object(_read(args.spec), "--spec file") if args.spec else {}
+    params = _read(args.spec) if args.spec else {}
     spec, truth, data = generate_instance(args.mode, params, args.samples, args.seed)
     _write(args.out_data, data.to_csv())
     _log(f"wrote {data.m}x{data.n} dataset to {args.out_data}")
@@ -229,17 +228,9 @@ def _cmd_evaluate(args) -> int:
     model = SbcnModel.from_json(_read(args.model))
     truth = dag_from_json(_read(args.truth), model.names)
     stats = arc_contingency(model.dag, truth)
-    header = "tp,fp,fn,tn,fp_rate_of_inferred,fn_rate_of_true,fpr,tpr"
-    row = ",".join(
-        [str(stats.tp), str(stats.fp), str(stats.fn), str(stats.tn)]
-        + [
-            float_repr(stats.fp_rate_of_inferred),
-            float_repr(stats.fn_rate_of_true),
-            float_repr(stats.fpr),
-            float_repr(stats.tpr),
-        ]
-    )
-    _write(args.out, header + "\n" + row + "\n")
+    counts = ("tp", "fp", "fn", "tn")
+    row = [str(getattr(stats, f)) for f in counts] + [float_repr(getattr(stats, f)) for f in RATE_FIELDS]
+    _write(args.out, ",".join(counts + RATE_FIELDS) + "\n" + ",".join(row) + "\n")
     _log(f"tp={stats.tp} fp={stats.fp} fn={stats.fn} tn={stats.tn}")
     return 0
 
@@ -327,8 +318,8 @@ def main(argv=None) -> int:
         parser.error("--out-report requires --bootstrap > 0")
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        _log(f"error: {exc}")
+    except (ValueError, OSError, MemoryError) as exc:
+        _log(f"error: {str(exc) or type(exc).__name__}")  # a bare MemoryError has no text
         return 1
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BinaryDataset, CsvFormatError, Dag, _csv_rows, _frozen, _json_value, _Value, topological_order
+from .model import BinaryDataset, CsvFormatError, Dag, _csv_rows, _frozen, _json_object, _Value, topological_order
 from .seeds import derive_seed
 
 FACTOR_NAMES_5 = ("Km", "SMB", "HML", "RMW", "CMA")
@@ -301,34 +301,29 @@ GENERATOR_MODES = tuple(GENERATOR_PARAMS)
 GENERATOR_RANGES = {"n_stocks": (0, None), "n_factors": (1, None), "lag": (0, None), "p": (0, 1)}
 
 
-def _generator_param(key: str, value, kind):
-    """One generator parameter read as ``kind`` and checked against its range."""
-    value = _json_value(f"generator parameter {key}", value, kind)
-    if key in GENERATOR_RANGES:
-        low, high = GENERATOR_RANGES[key]
-        if value < low or (high is not None and value > high):
-            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-            raise ValueError(f"generator parameter {key} must be {bound}, got {value!r}")
-    return value
-
-
-def generator_params(mode: str, params: dict) -> dict:
-    """The mode's defaults overridden by ``params``; ``ValueError`` on an
-    unknown mode or key, a value not of its default's type, or a number
-    outside its ``GENERATOR_RANGES`` entry."""
+def generator_params(mode: str, params) -> dict:
+    """The mode's defaults overridden by ``params``, a dict or its JSON text,
+    read by ``model._json_object``: a ``ModelSchemaError`` names an unknown
+    key, a value not of its default's type or a number outside its
+    ``GENERATOR_RANGES`` entry; an unknown mode is a ``ValueError``."""
     if mode not in GENERATOR_PARAMS:
         raise ValueError(f"generator mode must be one of {GENERATOR_MODES}, got {mode!r}")
     defaults = GENERATOR_PARAMS[mode]
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise ValueError(f"unknown generator parameters: {', '.join(unknown)}")
-    return defaults | {
-        key: _generator_param(key, value, type(defaults[key])) for key, value in params.items()
-    }
+
+    def build(**values):
+        for key, value in values.items():
+            if key in GENERATOR_RANGES:
+                low, high = GENERATOR_RANGES[key]
+                if value < low or (high is not None and value > high):
+                    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+                    raise ValueError(f"{key} must be {bound}, got {value!r}")
+        return defaults | values
+    kinds = {key: type(default) for key, default in defaults.items()}
+    return _json_object(params, "generator", kinds, kinds.keys(), build)
 
 
 def generate_instance(
-    mode: str, params: dict, T: int, seed: int
+    mode: str, params, T: int, seed: int
 ) -> tuple[FactorModelSpec, Dag, BinaryDataset]:
     """(spec, ground-truth DAG, T-row dataset) of the named generator with
     ``generator_params(mode, params)``; the seed fixes the instance."""

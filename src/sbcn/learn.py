@@ -208,21 +208,21 @@ def _node_counts(x: np.ndarray, v: int, parents: tuple[int, ...], counts: np.nda
     return pairs[0::2] + ones, ones
 
 
+def _terms(c1: np.ndarray, t) -> np.ndarray:
+    """The float64 log-likelihood term of each configuration seen in ``t`` rows,
+    ``c1`` of them ones.  Both score kernels use it, so they agree bit for bit."""
+    p = c1 / t
+    return c1 * np.log(np.maximum(p, LOG_EPS)) + (t - c1) * np.log(np.maximum(1.0 - p, LOG_EPS))
+
+
 def _node_ll(x: np.ndarray, counts: np.ndarray, v: int, parents: tuple[int, ...]) -> float:
     total, ones = _node_counts(x, v, parents, counts)
     seen = (total > 0).nonzero()[0]
-    t = total[seen]
-    c1 = ones[seen]
-    p = c1 / t
-    return float(
-        np.add.reduce(
-            c1 * np.log(np.maximum(p, LOG_EPS)) + (t - c1) * np.log(np.maximum(1.0 - p, LOG_EPS))
-        )
-    )
+    return float(np.add.reduce(_terms(ones[seen], total[seen])))
 
 
 # _TERM_ROWS[t][c1] is the log-likelihood term of a configuration seen in t
-# rows, c1 of them ones, by the same float64 expression as ``_node_ll``.  It
+# rows, c1 of them ones, by ``_terms`` as in ``_node_ll``.  It
 # holds only values and grows only by rebinding to a longer list, so every
 # table in the process (in any thread) can share it.
 _TERM_ROWS: list[array] = []
@@ -236,12 +236,7 @@ def _term_rows(m: int) -> list[array]:
         rows = list(rows)
         with np.errstate(divide="ignore", invalid="ignore"):  # row 0 is never read
             for t in range(len(rows), m + 1):
-                c1 = np.arange(t + 1.0)
-                p = c1 / t
-                terms = c1 * np.log(np.maximum(p, LOG_EPS)) + (t - c1) * np.log(
-                    np.maximum(1.0 - p, LOG_EPS)
-                )
-                rows.append(array("d", terms.tobytes()))
+                rows.append(array("d", _terms(np.arange(t + 1.0), t).tobytes()))
         _TERM_ROWS = rows
     return rows
 

@@ -77,12 +77,12 @@ class _FloatTexts(dict):
         return value
 
 
-def _json_object(source, what: str, kinds: dict | None = None, optional=(), build=dict, at=""):
+def _json_object(source, what: str, kinds: dict, optional=(), build=dict, at=""):
     """``build(**values)`` for ``source``, JSON text or its decoded value, read as the object
     ``kinds`` declares: each key but the ``optional`` ones, no other, each value read as its
-    kind by ``_json_value``.  Without ``kinds``, the decoded object.  Every fault, a
-    ``ValueError`` of ``build`` too, is a ``ModelSchemaError``; ``what`` names the object, and
-    ``at``, the place of a nested object such as ``cpts[11]``, starts each of its messages.
+    kind by ``_json_value``.  Every fault, a ``ValueError`` of ``build`` too, is a
+    ``ModelSchemaError``; ``what`` names the object, and ``at``, the place of a nested
+    object such as ``cpts[11]``, starts each of its messages.
     A ``ModelSchemaError`` of ``build`` is passed on as it is: a nested read placed it."""
     def fault(message: str) -> ModelSchemaError:
         return ModelSchemaError(f"{at}: {message}" if at else message)
@@ -93,8 +93,6 @@ def _json_object(source, what: str, kinds: dict | None = None, optional=(), buil
             raise fault(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(source, dict):
         raise fault(f"{what} must be a JSON object")
-    if kinds is None:
-        return source
     missing = [k for k in kinds if k not in source and k not in optional]
     if missing:
         raise fault(f"{what} is missing keys: {', '.join(missing)}")

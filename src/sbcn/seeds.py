@@ -20,7 +20,3 @@ def derive_seed(seed: int, *path: int) -> int:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])
 
-
-def rng_for(seed: int, *path: int) -> np.random.Generator:
-    """Generator seeded by ``derive_seed(seed, *path)``."""
-    return np.random.default_rng(derive_seed(seed, *path))

@@ -107,16 +107,18 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode, params, message", [
         ("famafrench", {"positive_loadings": "false"},
-         "error: generator parameter positive_loadings must be true or false, got 'false'"),
+         "error: positive_loadings must be true or false, got 'false'"),
         ("sparse", {"signed_loadings": 0},
-         "error: generator parameter signed_loadings must be true or false, got 0"),
-        ("sparse", {"lag": 2}, "error: unknown generator parameters: lag"),
-        ("famafrench", {"n_stocks": -1}, "error: generator parameter n_stocks must be >= 0, got -1"),
-        ("sparse", {"p": 2}, "error: generator parameter p must be in [0, 1], got 2.0"),
+         "error: signed_loadings must be true or false, got 0"),
+        ("sparse", {"lag": 2}, "error: unknown generator keys: lag"),
+        ("famafrench", {"n_stocks": -1}, "error: n_stocks must be >= 0, got -1"),
+        ("sparse", {"p": 2}, "error: p must be in [0, 1], got 2.0"),
+        ("sparse", [], "error: generator must be a JSON object"),
+        ("sparse", '{"p": }', "error: generator is not valid JSON: Expecting value: line 1 column 7"),
     ])
     def test_bad_spec_names_the_key(self, tmp_path, capsys, mode, params, message):
         spec_file = tmp_path / "gen.json"
-        spec_file.write_text(json.dumps(params))
+        spec_file.write_text(params if isinstance(params, str) else json.dumps(params))
         assert run(["simulate", "--mode", mode, "--samples", 50, "--spec", spec_file,
                     "--out-data", tmp_path / "d.csv"]) == 1
         assert message in capsys.readouterr().err
@@ -128,9 +130,18 @@ class TestSimulate:
         done = run_module("simulate", "--samples", 50, "--spec", spec_file,
                           "--out-data", tmp_path / "d.csv")
         assert done.returncode == 1
-        assert done.stderr.splitlines() == [
-            "error: generator parameter n_stocks must be an integer, got [3]"
-        ]
+        assert done.stderr.splitlines() == ["error: n_stocks must be an integer, got [3]"]
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_unallocatable_spec_is_one_error_line(self, tmp_path):
+        # numpy refuses the 36 TiB array before allocating any of it
+        spec_file = tmp_path / "gen.json"
+        spec_file.write_text(json.dumps({"n_stocks": 1000000000000}))
+        done = run_module("simulate", "--samples", 50, "--spec", spec_file,
+                          "--out-data", tmp_path / "d.csv")
+        assert done.returncode == 1
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: Unable to allocate ")
         assert not (tmp_path / "d.csv").exists()
 
 

@@ -21,7 +21,7 @@ from sbcn.datagen import (
     sparse_random_instance,
 )
 from sbcn.learn import prima_facie_edges
-from sbcn.model import CsvFormatError, Dag
+from sbcn.model import CsvFormatError, Dag, ModelSchemaError
 from sbcn.seeds import derive_seed
 
 
@@ -301,46 +301,55 @@ class TestGenerateInstance:
         params = generator_params("sparse", {"n_stocks": 4.0, "p": 1})
         assert params["n_stocks"] == 4 and type(params["n_stocks"]) is int
         assert params["p"] == 1.0 and type(params["p"]) is float
+        assert generator_params("sparse", '{"n_stocks": 4.0, "p": 1}') == params
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="generator mode must be one of"):
             generate_instance("garch", {}, 50, seed=0)
 
     def test_unknown_keys_listed(self):
-        with pytest.raises(ValueError, match="^unknown generator parameters: n_factor, vol$"):
+        with pytest.raises(ModelSchemaError, match="^unknown generator keys: n_factor, vol$"):
             generator_params("sparse", {"vol": 1, "n_factor": 2, "p": 0.1})
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"p": 0.1,}', "^generator is not valid JSON: "),
+        ("[0.1]", "^generator must be a JSON object$"),
+    ])
+    def test_text_must_be_a_json_object(self, text, message):
+        with pytest.raises(ModelSchemaError, match=message):
+            generator_params("sparse", text)
 
     @pytest.mark.parametrize("value", ["true", 1, None])
     def test_flags_must_be_booleans(self, value):
-        with pytest.raises(ValueError, match="generator parameter signed_loadings must be true or false"):
+        with pytest.raises(ModelSchemaError, match="^signed_loadings must be true or false"):
             generator_params("sparse", {"signed_loadings": value})
 
     @pytest.mark.parametrize("value", [3.6, True, [3]])
     def test_counts_must_be_integers(self, value):
-        with pytest.raises(ValueError, match="^generator parameter n_stocks must be an integer, got "):
+        with pytest.raises(ModelSchemaError, match="^n_stocks must be an integer, got "):
             generator_params("famafrench", {"n_stocks": value})
 
     def test_n_stocks_range(self):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(ModelSchemaError) as exc:
             generator_params("famafrench", {"n_stocks": -1})
-        assert str(exc.value) == "generator parameter n_stocks must be >= 0, got -1"
+        assert str(exc.value) == "n_stocks must be >= 0, got -1"
         assert generator_params("sparse", {"n_stocks": 0})["n_stocks"] == 0
 
     def test_n_factors_range(self):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(ModelSchemaError) as exc:
             generator_params("sparse", {"n_factors": 0})
-        assert str(exc.value) == "generator parameter n_factors must be >= 1, got 0"
+        assert str(exc.value) == "n_factors must be >= 1, got 0"
         assert generator_params("sparse", {"n_factors": 1})["n_factors"] == 1
 
     @pytest.mark.parametrize("value", [2, -0.5, 1.0000001])
     def test_p_range(self, value):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(ModelSchemaError) as exc:
             generator_params("sparse", {"p": value})
-        assert str(exc.value) == f"generator parameter p must be in [0, 1], got {float(value)!r}"
+        assert str(exc.value) == f"p must be in [0, 1], got {float(value)!r}"
         assert generator_params("sparse", {"p": 0})["p"] == 0.0
 
     def test_lag_range(self):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(ModelSchemaError) as exc:
             generator_params("famafrench", {"lag": -1})
-        assert str(exc.value) == "generator parameter lag must be >= 0, got -1"
+        assert str(exc.value) == "lag must be >= 0, got -1"
         assert generator_params("famafrench", {"lag": 0})["lag"] == 0

@@ -117,7 +117,7 @@ class TestSweepConfig:
         ({"mode": "famafrench", "signed_loadings": True}, "signed_loadings"),
     ])
     def test_unknown_generator_key(self, generator, key):
-        with pytest.raises(ModelSchemaError, match=f"unknown generator parameters: {key}$"):
+        with pytest.raises(ModelSchemaError, match=f"^unknown generator keys: {key}$"):
             tiny_config(generator=generator)
 
     @pytest.mark.parametrize("generator, key", [
@@ -125,7 +125,7 @@ class TestSweepConfig:
         ({"mode": "sparse", "signed_loadings": 1}, "signed_loadings"),
     ])
     def test_generator_flags_must_be_json_booleans(self, generator, key):
-        with pytest.raises(ModelSchemaError, match=f"generator parameter {key} must be true or false"):
+        with pytest.raises(ModelSchemaError, match=f"^{key} must be true or false"):
             tiny_config(generator=generator)
 
     @pytest.mark.parametrize("entries", [["false"], [0], [True, None]])
@@ -177,7 +177,7 @@ class TestSweepConfig:
         # before run_sweep starts a worker, not inside one
         with pytest.raises(ModelSchemaError) as exc:
             tiny_config(generator={"mode": "sparse", "p": 2})
-        assert str(exc.value) == "generator parameter p must be in [0, 1], got 2.0"
+        assert str(exc.value) == "p must be in [0, 1], got 2.0"
 
     @pytest.mark.parametrize("overrides, keys", [
         ({"max_iteration": 5}, "max_iteration"),
