@@ -7,6 +7,8 @@ sharpen it by bootstrap confidence pruning, then sample stress scenarios by
 clamping the factor configurations a decision tree flags as risky.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bootstrap import BootstrapReport, edge_confidence, prune, resample
 from .classifier import (
     PROFITABLE,
@@ -15,13 +17,11 @@ from .classifier import (
     Leaf,
     Portfolio,
     Split,
-    implied_up_cut,
     label_measure,
     label_scenarios,
     learn_tree,
     predict,
     risky_paths,
-    up_count,
     up_counts,
 )
 from .datagen import (
@@ -42,17 +42,13 @@ from .evaluation import (
     SweepConfig,
     SweepReport,
     arc_contingency,
-    roc_point,
     roc_upper_envelope,
     run_sweep,
 )
 from .learn import (
     LEARNERS,
     EdgeSet,
-    EmptyStratumError,
     LearnOptions,
-    empirical_conditional,
-    empirical_marginal,
     fit_cpts,
     hill_climb,
     learn_bn,
@@ -71,16 +67,15 @@ from .model import (
     Dag,
     ModelSchemaError,
     SbcnModel,
-    Scenario,
     dag_from_json,
     dag_to_json,
     has_cycle,
     scenarios_to_csv,
-    validate_model,
 )
 from .sampling import ancestral_sample, clamp, stress_sample, topological_order
 from .seeds import derive_seed
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -44,19 +44,15 @@ class Portfolio(_Value):
             raise ValueError("weights must sum to a positive amount")
 
 
-def up_count(scenario: np.ndarray, portfolio: Portfolio) -> float:
-    """Total weight of portfolio stocks that are up in one scenario."""
-    scenario = np.asarray(scenario)
-    if scenario.ndim != 1:
-        raise ValueError("up_count takes a single scenario row")
-    if max(portfolio.stock_indices, default=-1) >= scenario.shape[0]:
-        raise ValueError("scenario does not cover all portfolio stocks")
-    return float(scenario[list(portfolio.stock_indices)] @ portfolio.weights)
-
-
 def up_counts(scenarios: np.ndarray, portfolio: Portfolio) -> np.ndarray:
-    """Vectorized up_count over a scenario matrix."""
+    """Total weight of the portfolio stocks that are up, per row of a 2-D
+    scenario matrix that covers every portfolio stock column."""
     scenarios = np.asarray(scenarios)
+    if scenarios.ndim != 2:
+        raise ValueError(f"up_counts takes a 2-D scenario matrix, got {scenarios.ndim}-D")
+    top = max(portfolio.stock_indices, default=-1)
+    if top >= scenarios.shape[1]:
+        raise ValueError(f"scenarios have {scenarios.shape[1]} columns, too few for portfolio stock {top}")
     return scenarios[:, list(portfolio.stock_indices)].astype(np.float64) @ portfolio.weights
 
 
@@ -88,14 +84,6 @@ def label_scenarios(
     """Boolean labels, True = risky, for the bottom quantile by up measure
     (see :func:`label_measure`)."""
     return label_measure(up_counts(scenarios, portfolio), risky_fraction)[0]
-
-
-def implied_up_cut(
-    scenarios: np.ndarray, portfolio: Portfolio, risky_fraction: float = 0.10
-) -> float | None:
-    """The up-measure value at the risky/profitable boundary (None if no
-    scenario is labeled risky)."""
-    return label_measure(up_counts(scenarios, portfolio), risky_fraction)[1]
 
 
 @dataclass(frozen=True)

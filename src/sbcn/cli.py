@@ -33,7 +33,6 @@ from .model import (
     _csv_head,
     dag_from_json,
     dag_to_json,
-    float_repr,
 )
 from .sampling import _blocks, clamp
 from .seeds import derive_seed
@@ -193,7 +192,7 @@ def _cmd_stress(args) -> int:
         labels, cut = label_measure(measure, args.risky_fraction)
         _log(
             f"labeled {int(labels.sum())}/{len(labels)} scenarios risky "
-            f"(up-count cut {'n/a' if cut is None else float_repr(cut)})"
+            f"(up-count cut {'n/a' if cut is None else repr(cut)})"
         )
         tree = learn_tree(features, labels)
         tree = DecisionTree(tree.root, tuple(model.names[i] for i in factors))
@@ -229,7 +228,7 @@ def _cmd_evaluate(args) -> int:
     truth = dag_from_json(_read(args.truth), model.names)
     stats = arc_contingency(model.dag, truth)
     counts = ("tp", "fp", "fn", "tn")
-    row = [str(getattr(stats, f)) for f in counts] + [float_repr(getattr(stats, f)) for f in RATE_FIELDS]
+    row = [str(getattr(stats, f)) for f in counts] + [repr(float(getattr(stats, f))) for f in RATE_FIELDS]
     _write(args.out, ",".join(counts + RATE_FIELDS) + "\n" + ",".join(row) + "\n")
     _log(f"tp={stats.tp} fp={stats.fp} fn={stats.fn} tn={stats.tn}")
     return 0

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .learn import _check_choice
 from .model import BinaryDataset, CsvFormatError, Dag, _csv_rows, _frozen, _json_object, _Value, topological_order
 from .seeds import derive_seed
 
@@ -222,10 +223,7 @@ def binarize(series: RealSeries, threshold_mode: str = "median") -> BinaryDatase
     Thresholds are per-column medians ("median", keeps marginals near 0.5)
     or zero ("zero").  Factor columns get rank 0, stock columns rank 1.
     """
-    if threshold_mode not in THRESHOLD_MODES:
-        raise ValueError(
-            f"threshold_mode must be one of {THRESHOLD_MODES}, got {threshold_mode!r}"
-        )
+    _check_choice("threshold_mode", threshold_mode, THRESHOLD_MODES)
     if threshold_mode == "median":
         thresholds = np.median(series.values, axis=0)
     else:
@@ -306,8 +304,7 @@ def generator_params(mode: str, params) -> dict:
     read by ``model._json_object``: a ``ModelSchemaError`` names an unknown
     key, a value not of its default's type or a number outside its
     ``GENERATOR_RANGES`` entry; an unknown mode is a ``ValueError``."""
-    if mode not in GENERATOR_PARAMS:
-        raise ValueError(f"generator mode must be one of {GENERATOR_MODES}, got {mode!r}")
+    _check_choice("generator mode", mode, GENERATOR_MODES)
     defaults = GENERATOR_PARAMS[mode]
 
     def build(**values):

@@ -16,7 +16,7 @@ import numpy as np
 from .bootstrap import _fan_out, edge_confidence, prune
 from .datagen import generate_instance, generator_params
 from .learn import LearnOptions, _candidate_rule, learn_model
-from .model import ContingencyStats, Dag, ModelSchemaError, _json_object, float_repr
+from .model import ContingencyStats, Dag, ModelSchemaError, _json_object
 from .seeds import derive_seed
 
 RATE_FIELDS = ("fp_rate_of_inferred", "fn_rate_of_true", "fpr", "tpr")
@@ -32,11 +32,6 @@ def arc_contingency(inferred: Dag, truth: Dag) -> ContingencyStats:
     fn = len(truth.edges - inferred.edges)
     tn = n * (n - 1) - tp - fp - fn
     return ContingencyStats(tp, fp, fn, tn)
-
-
-def roc_point(stats: ContingencyStats) -> tuple[float, float]:
-    """(false positive rate, true positive rate) over the arc universe."""
-    return (stats.fpr, stats.tpr)
 
 
 def roc_upper_envelope(points) -> list[tuple[float, float]]:
@@ -135,8 +130,8 @@ class SweepReport:
         lines = [",".join(header)]
         for r in self.rows:
             cells = [r.learner, r.criterion, "1" if r.bootstrap else "0", str(r.sample_size)]
-            cells += [float_repr(r.means[f]) for f in RATE_FIELDS]
-            cells += [float_repr(r.stderrs[f]) for f in RATE_FIELDS]
+            cells += [repr(float(r.means[f])) for f in RATE_FIELDS]
+            cells += [repr(float(r.stderrs[f])) for f in RATE_FIELDS]
             cells += [str(r.repetitions), str(r.seed)]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"

@@ -37,10 +37,6 @@ TP_MODES = ("rank", "marginal")
 PENALTIES = ("arcs", "parameters")
 
 
-class EmptyStratumError(ValueError):
-    """A conditional probability was requested on an empty stratum."""
-
-
 def _check_choice(what: str, value, choices) -> None:
     """Reject a ``value`` not among ``choices``, naming both."""
     if value not in choices:
@@ -103,28 +99,6 @@ class EdgeSet:
     def __init__(self, n: int, edges=()):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", _arcs(self.n, edges))
-
-
-def empirical_marginal(dataset: BinaryDataset, i: int) -> float:
-    """Unsmoothed P(variable i = 1)."""
-    if not 0 <= i < dataset.n:
-        raise IndexError(f"variable index {i} out of range for n={dataset.n}")
-    return float(dataset.column(i).sum()) / dataset.m
-
-
-def empirical_conditional(dataset: BinaryDataset, v: int, u: int, u_value: int) -> float:
-    """Unsmoothed P(v = 1 | u = u_value) over the matching rows."""
-    if v == u:
-        raise ValueError("conditioning variable must differ from the target")
-    if u_value not in (0, 1):
-        raise ValueError("u_value must be 0 or 1")
-    mask = dataset.column(u) == u_value
-    total = int(mask.sum())
-    if total == 0:
-        raise EmptyStratumError(
-            f"no rows with variable {u} = {u_value}; conditional undefined"
-        )
-    return float(dataset.column(v)[mask].sum()) / total
 
 
 def prima_facie_edges(dataset: BinaryDataset, tp_mode: str = "rank") -> EdgeSet:

@@ -19,11 +19,6 @@ import numpy as np
 
 Edge = tuple[int, int]
 
-#: A scenario is one joint assignment of all model variables; batches of
-#: scenarios are (count, n) uint8 arrays with one scenario per row.
-Scenario = np.ndarray
-
-
 class CsvFormatError(ValueError):
     """Malformed dataset CSV; message carries the offending row/column."""
 
@@ -279,7 +274,7 @@ class BinaryDataset(_Value):
                 "line would be blank and would not read back"
             )
         rank = "#rank:" + ",".join(str(r) for r in self.rank)
-        return _binary_csv(self.names, self.values, rank)
+        return _csv_head(self.names, rank) + _csv_body(self.values).decode("ascii")
 
     @classmethod
     def from_csv(cls, text: str) -> "BinaryDataset":
@@ -355,12 +350,6 @@ def _csv_rows(lines, first_row: int, n: int, read, kind: str, skip: int = 0) -> 
     return rows
 
 
-def _binary_csv(names, values, *extra_head: str) -> str:
-    """Header row, any ``extra_head`` lines, then one 0/1 row per matrix row
-    (see :func:`_csv_head` and :func:`_csv_body`)."""
-    return _csv_head(names, *extra_head) + _csv_body(values).decode("ascii")
-
-
 def _csv_head(names, *extra_head: str) -> str:
     """The header row and any ``extra_head`` lines, each LF ended.
 
@@ -402,8 +391,8 @@ def _csv_body(values) -> bytes:
 
 
 def _canonical_csv(text: str):
-    """``(head lines, values)`` of a CSV in exactly the layout ``_binary_csv``
-    writes, else None.
+    """``(head lines, values)`` of a CSV in exactly the layout ``_csv_head``
+    and ``_csv_body`` write, else None.
 
     The layout: a header line and an optional ``#rank:`` line, each ended
     by LF, then at least one row of n single ``0``/``1`` cells, comma
@@ -452,15 +441,6 @@ class Dag:
         """In-neighbors of v in canonical ascending order."""
         return tuple(sorted(u for u, w in self.edges if w == v))
 
-    def children(self, u: int) -> tuple[int, ...]:
-        return tuple(sorted(w for p, w in self.edges if p == u))
-
-    def with_edge(self, u: int, v: int) -> "Dag":
-        return Dag(self.n, self.edges | {(u, v)})
-
-    def without_edge(self, u: int, v: int) -> "Dag":
-        return Dag(self.n, self.edges - {(u, v)})
-
 
 @dataclass(frozen=True, eq=False)
 class Cpt(_Value):
@@ -487,13 +467,6 @@ class Cpt(_Value):
             )
         if not ((self.table >= 0.0) & (self.table <= 1.0)).all():  # NaN fails too
             raise ValueError("table entries must lie in [0, 1]")
-
-    def config_index(self, parent_values) -> int:
-        """Index of the configuration where parent k has value parent_values[k]."""
-        idx = 0
-        for k, val in enumerate(parent_values):
-            idx |= (1 if val else 0) << k
-        return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,25 +549,6 @@ def _dag(n, edges, names=None, expect=None) -> Dag:
         if got != want:
             raise ValueError(f"names[{i}] is {got!r}, expected {want!r} (variables in another order)")
     return Dag(n, edges)
-
-
-def validate_model(model: SbcnModel) -> list[str]:
-    """Collect invariant violations; an empty list means the model is valid.
-
-    Violations are reported as data rather than raised so callers can audit
-    a model wholesale.  Beside the checks across its parts, the audit runs
-    again those ``Dag`` and ``Cpt`` ran when built, which only a part
-    altered since can fail.
-    """
-    problems: list[str] = []
-    if has_cycle(model.dag.n, model.dag.edges):
-        problems.append("structure contains a directed cycle")
-    for cpt in model.cpts:
-        if len(cpt.table) != 2 ** len(cpt.parents):
-            problems.append(f"node {cpt.node}: table size {len(cpt.table)} != 2^{len(cpt.parents)}")
-        if not ((cpt.table >= 0.0) & (cpt.table <= 1.0)).all():  # NaN fails too
-            problems.append(f"node {cpt.node}: table entries outside [0, 1]")
-    return problems + _part_problems(model)
 
 
 def _part_problems(model: SbcnModel) -> list[str]:
@@ -689,7 +643,7 @@ def scenarios_to_csv(scenarios: np.ndarray, names) -> str:
         raise ValueError(
             f"scenario matrix shape {arr.shape} does not match {len(names)} names"
         )
-    return _binary_csv(names, arr)
+    return _csv_head(names) + _csv_body(arr).decode("ascii")
 
 
 _SCALARS = {str, int, float, bool, type(None)}
@@ -755,9 +709,3 @@ def _dumps_indent2(obj, level: int = 0) -> str:
         items = ",\n".join(inner + _dumps_indent2(x, level + 1) for x in obj)
         return "[\n" + items + "\n" + pad + "]"
     return json.dumps(obj)
-
-
-def float_repr(x: float) -> str:
-    """Shortest decimal text that round-trips ``float(x)`` exactly, for a
-    Python or numpy number alike."""
-    return repr(float(x))

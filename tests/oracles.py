@@ -483,7 +483,7 @@ def exact_joint(model):
         p = 1.0
         for v in range(n):
             cpt = model.cpt(v)
-            idx = cpt.config_index([assignment[q] for q in cpt.parents])
+            idx = sum(assignment[q] << k for k, q in enumerate(cpt.parents))
             p1 = cpt.table[idx]
             p *= p1 if assignment[v] else 1.0 - p1
         probs[bits] = p

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,11 @@ from sbcn.classifier import (
     Leaf,
     Portfolio,
     Split,
-    implied_up_cut,
     label_measure,
     label_scenarios,
     learn_tree,
     predict,
     risky_paths,
-    up_count,
     up_counts,
 )
 from sbcn.model import ModelSchemaError
@@ -55,20 +55,24 @@ class TestUpCount:
     def test_all_up_equals_total_weight(self):
         port = Portfolio(range(5, 15))
         scenario = np.ones(15, dtype=np.uint8)
-        assert up_count(scenario, port) == 10.0
+        assert up_counts(scenario[None], port)[0] == 10.0
 
     def test_all_down_zero(self):
         port = Portfolio(range(5, 15))
-        assert up_count(np.zeros(15, dtype=np.uint8), port) == 0.0
+        assert up_counts(np.zeros((1, 15), dtype=np.uint8), port)[0] == 0.0
 
     def test_weighted(self):
         port = Portfolio([2, 3], [0.25, 0.75])
-        assert up_count(np.array([0, 0, 1, 0]), port) == 0.25
+        assert up_counts(np.array([[0, 0, 1, 0]]), port)[0] == 0.25
 
     def test_scenario_must_cover_stocks(self):
         port = Portfolio([4])
-        with pytest.raises(ValueError):
-            up_count(np.zeros(3, dtype=np.uint8), port)
+        with pytest.raises(ValueError, match="^scenarios have 3 columns, too few for portfolio stock 4$"):
+            up_counts(np.zeros((1, 3), dtype=np.uint8), port)
+
+    def test_scenarios_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="^up_counts takes a 2-D scenario matrix, got 1-D$"):
+            up_counts(np.zeros(5, dtype=np.uint8), Portfolio([4]))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -76,7 +80,8 @@ class TestUpCount:
         port = Portfolio([1, 4, 6], [1.0, 2.0, 0.5])
         batch = up_counts(scen, port)
         for i in range(50):
-            assert batch[i] == up_count(scen[i], port)
+            expected = 1.0 * scen[i, 1] + 2.0 * scen[i, 4] + 0.5 * scen[i, 6]
+            assert batch[i] == up_counts(scen[i][None], port)[0] == expected
 
 
 class TestLabelScenarios:
@@ -105,8 +110,9 @@ class TestLabelScenarios:
 
     def test_implied_cut(self):
         scen = np.array([[0, 0], [1, 0], [1, 1], [1, 1]], dtype=np.uint8)
-        assert implied_up_cut(scen, Portfolio([0, 1]), 0.25) == 0.0
-        assert implied_up_cut(scen, Portfolio([0, 1]), 0.0) is None
+        measure = up_counts(scen, Portfolio([0, 1]))
+        assert label_measure(measure, 0.25)[1] == 0.0
+        assert label_measure(measure, 0.0)[1] is None
 
 
 class TestLearnTree:
@@ -259,12 +265,14 @@ class TestLabelMeasure:
         rng = np.random.default_rng(11)
         scen = scenarios_with_factor_rule(rng, count=777)
         port = Portfolio(range(5, 15), rng.random(10))
+        measure = up_counts(scen, port)
         for fraction in (0.0, 0.05, 0.1, 0.5, 1.0):
-            labels, cut = label_measure(up_counts(scen, port), fraction)
+            labels, cut = label_measure(measure, fraction)
             assert np.array_equal(labels, label_scenarios(scen, port, fraction))
-            assert cut == implied_up_cut(scen, port, fraction)
+            k = math.ceil(fraction * len(measure))
+            assert cut == (None if k == 0 else np.sort(measure)[k - 1])
             if cut is not None:
-                assert cut == up_counts(scen, port)[labels].max()
+                assert cut == measure[labels].max()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="risky_fraction"):

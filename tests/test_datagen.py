@@ -148,7 +148,7 @@ class TestBinarize:
         assert data.rank == (0, 0, 1, 1)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown threshold_mode 'mean'; choose from zero, median$"):
             binarize(RealSeries(np.zeros((2, 1)), ["x"]), "mean")
 
 
@@ -304,7 +304,7 @@ class TestGenerateInstance:
         assert generator_params("sparse", '{"n_stocks": 4.0, "p": 1}') == params
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="generator mode must be one of"):
+        with pytest.raises(ValueError, match="^unknown generator mode 'garch'; choose from famafrench, sparse$"):
             generate_instance("garch", {}, 50, seed=0)
 
     def test_unknown_keys_listed(self):

@@ -10,7 +10,6 @@ from sbcn.evaluation import (
     SweepReport,
     SweepRow,
     arc_contingency,
-    roc_point,
     roc_upper_envelope,
     run_sweep,
 )
@@ -74,11 +73,13 @@ class TestArcContingency:
 class TestRocPoint:
     def test_trivial_points(self):
         truth = Dag(3, [(0, 1)])
-        assert roc_point(arc_contingency(truth, truth)) == (0.0, 1.0)
-        assert roc_point(arc_contingency(Dag(3), truth)) == (0.0, 0.0)
+        perfect = arc_contingency(truth, truth)
+        assert (perfect.fpr, perfect.tpr) == (0.0, 1.0)
+        empty = arc_contingency(Dag(3), truth)
+        assert (empty.fpr, empty.tpr) == (0.0, 0.0)
         full = Dag(3, [(0, 1), (0, 2), (1, 2)])
         universe_minus_truth_free = arc_contingency(full, full)
-        assert roc_point(universe_minus_truth_free)[1] == 1.0
+        assert universe_minus_truth_free.tpr == 1.0
 
     def test_upper_envelope_monotone(self):
         points = [(0.1, 0.5), (0.3, 0.4), (0.2, 0.7), (0.05, 0.2)]
@@ -108,7 +109,7 @@ class TestSweepConfig:
             tiny_config(criteria=["mdl"])
 
     def test_unknown_generator_mode(self):
-        with pytest.raises(ModelSchemaError, match="generator.mode"):
+        with pytest.raises(ModelSchemaError, match="^unknown generator mode 'garch'; choose from famafrench, sparse$"):
             tiny_config(generator={"mode": "garch"})
 
     @pytest.mark.parametrize("generator, key", [

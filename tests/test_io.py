@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import dataset_csv_oracle, rows_csv_oracle
 from sbcn.bootstrap import BootstrapReport
 from sbcn.classifier import DecisionTree
+from sbcn.evaluation import RATE_FIELDS, SweepReport, SweepRow
 from sbcn.model import (
     BinaryDataset,
     CsvFormatError,
@@ -27,7 +28,6 @@ from sbcn.model import (
     _canonical_csv,
     _dumps_indent2,
     dag_from_json,
-    float_repr,
     scenarios_to_csv,
 )
 
@@ -289,6 +289,9 @@ class TestCsvNames:
 
 
 class TestFloatRepr:
+    """A sweep report writes each rate as the shortest text that reads back
+    as ``float(value)``, for a Python or numpy number alike."""
+
     @pytest.mark.parametrize("value, text", [
         (np.float64(0.25), "0.25"),
         (np.float32(0.1), "0.10000000149011612"),
@@ -301,7 +304,9 @@ class TestFloatRepr:
         (np.float64("nan"), "nan"),
     ])
     def test_text_round_trips(self, value, text):
-        assert float_repr(value) == text
+        row = SweepRow("sbcn", "bic", False, 100, dict.fromkeys(RATE_FIELDS, value),
+                       dict.fromkeys(RATE_FIELDS, 0.0), 1, 0)
+        assert SweepReport((row,)).to_csv().splitlines()[1].split(",")[4] == text
         if text != "nan":
             assert float(text) == float(value)
 

@@ -1,12 +1,14 @@
 import itertools
 import json
 from dataclasses import fields
+from types import ModuleType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sbcn
 from sbcn.classifier import Portfolio
 from sbcn.datagen import FactorModelSpec, RealSeries, market_factor_spec
 from sbcn.learn import EdgeSet
@@ -22,7 +24,6 @@ from sbcn.model import (
     dag_to_json,
     has_cycle,
     scenarios_to_csv,
-    validate_model,
 )
 
 
@@ -57,20 +58,6 @@ def make_model(n, edges, tables=None, rank=None, names=None, confidence=None):
         table = tables[v] if tables else [0.5] * size
         cpts.append(Cpt(v, parents, table))
     return SbcnModel(dag, cpts, rank or [0] * n, confidence, names)
-
-
-def broken_model(n, edges, cpts, rank):
-    """Assemble an SbcnModel without running its invariant checks."""
-    model = object.__new__(SbcnModel)
-    dag = object.__new__(Dag)
-    object.__setattr__(dag, "n", n)
-    object.__setattr__(dag, "edges", frozenset(edges))
-    object.__setattr__(model, "dag", dag)
-    object.__setattr__(model, "cpts", tuple(cpts))
-    object.__setattr__(model, "rank", tuple(rank))
-    object.__setattr__(model, "confidence", None)
-    object.__setattr__(model, "names", tuple(f"v{i}" for i in range(n)))
-    return model
 
 
 class TestBinaryDataset:
@@ -204,12 +191,6 @@ class TestDag:
     def test_parents_sorted(self):
         dag = Dag(4, [(2, 3), (0, 3), (1, 3)])
         assert dag.parents(3) == (0, 1, 2)
-        assert dag.children(0) == (3,)
-
-    def test_with_without_edge(self):
-        dag = Dag(3, [(0, 1)])
-        assert (1, 2) in dag.with_edge(1, 2).edges
-        assert dag.without_edge(0, 1).edges == frozenset()
 
     def test_cycle_check_matches_dfs_oracle_exhaustive_n4(self):
         n = 4
@@ -232,22 +213,14 @@ class TestDag:
 
 
 class TestCpt:
-    def test_config_index_low_bit_first_parent(self):
-        cpt = Cpt(3, [0, 2], [0.1, 0.2, 0.3, 0.4])
-        assert cpt.config_index([0, 0]) == 0
-        assert cpt.config_index([1, 0]) == 1
-        assert cpt.config_index([0, 1]) == 2
-        assert cpt.config_index([1, 1]) == 3
-
     def test_table_length_enforced(self):
         with pytest.raises(ValueError, match="entries"):
             Cpt(0, [1], [0.5])
 
     def test_probability_domain_enforced(self):
-        with pytest.raises(ValueError):
-            Cpt(0, [], [1.5])
-        with pytest.raises(ValueError, match=r"table entries must lie in \[0, 1\]"):
-            Cpt(0, [], [float("nan")])
+        for entry in [float("nan"), float("inf"), -float("inf"), -0.5, 1.5]:
+            with pytest.raises(ValueError, match=r"^table entries must lie in \[0, 1\]$"):
+                Cpt(1, [0], [0.5, entry])
 
     def test_parents_must_ascend(self):
         with pytest.raises(ValueError):
@@ -255,9 +228,11 @@ class TestCpt:
 
 
 class TestValidateModel:
+    """The ``Dag``, ``Cpt`` and ``SbcnModel`` constructors are the one model check."""
+
     def test_valid_model(self):
         model = make_model(3, [(0, 1), (1, 2)])
-        assert validate_model(model) == []
+        assert SbcnModel(model.dag, model.cpts, model.rank) == model
 
     def test_parent_mismatch_reported(self):
         dag = Dag(3, [(1, 2)])
@@ -266,23 +241,18 @@ class TestValidateModel:
             Cpt(1, [], [0.5]),
             Cpt(2, [0], [0.2, 0.8]),  # claims parent 0, structure says 1
         ]
-        model = broken_model(3, dag.edges, cpts, [0, 0, 0])
-        problems = validate_model(model)
-        assert len(problems) == 1
-        assert "parents" in problems[0]
+        with pytest.raises(ValueError, match=r"^invalid model: node 2: CPT parents \[0\] != structure parents \[1\]$"):
+            SbcnModel(dag, cpts, [0, 0, 0])
 
-    def test_cycle_reported(self):
-        cpts = [Cpt(0, [1], [0.5, 0.5]), Cpt(1, [0], [0.5, 0.5])]
-        model = broken_model(2, [(0, 1), (1, 0)], cpts, [0, 0])
-        problems = validate_model(model)
-        assert any("cycle" in p for p in problems)
-
-    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf"), -0.5, 1.5])
-    def test_table_altered_after_construction_reported(self, entry):
-        model = make_model(2, [(0, 1)])
-        cpt = model.cpt(1)
-        object.__setattr__(cpt, "table", np.array([0.5, entry]))
-        assert validate_model(model) == ["node 1: table entries outside [0, 1]"]
+    @pytest.mark.parametrize("edges, cpts, confidence, problem", [
+        ([], [Cpt(0, [], [0.5]), Cpt(0, [], [0.5])], None,
+         r"CPT node set \[0, 0\] does not cover 0\.\.1 exactly once"),
+        ([(0, 1)], [Cpt(0, [], [0.5]), Cpt(1, [0], [0.5, 0.5])], {(0, 1): 1.5},
+         r"confidence for edge \(0, 1\) is 1\.5, outside \[0, 1\]"),
+    ], ids=["node-set", "confidence-range"])
+    def test_constructor_names_each_part_problem(self, edges, cpts, confidence, problem):
+        with pytest.raises(ValueError, match=f"^invalid model: {problem}$"):
+            SbcnModel(Dag(2, edges), cpts, [0, 0], confidence)
 
     def test_constructor_rejects_invalid(self):
         dag = Dag(2, [(0, 1)])
@@ -493,3 +463,11 @@ class TestArcCheck:
     def test_negative_node_count_is_named_first(self):
         with pytest.raises(ValueError, match="^node count must be nonnegative$"):
             Dag(-1, [(0, 1)])
+
+
+class TestPublicNames:
+    def test_star_import_binds_every_name_and_no_module(self):
+        namespace = {}
+        exec("from sbcn import *", namespace)
+        assert [k for k, v in namespace.items() if isinstance(v, ModuleType)] == []
+        assert all(namespace[name] is getattr(sbcn, name) for name in sbcn.__all__)

@@ -135,8 +135,8 @@ class TestClamp:
             stack = [node]
             while stack:
                 cur = stack.pop()
-                for child in model.dag.children(cur):
-                    if child not in descendants:
+                for parent, child in model.dag.edges:
+                    if parent == cur and child not in descendants:
                         descendants.add(child)
                         stack.append(child)
             for other in range(4):
