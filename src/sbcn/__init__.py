@@ -42,7 +42,6 @@ from .evaluation import (
     SweepConfig,
     SweepReport,
     arc_contingency,
-    roc_upper_envelope,
     run_sweep,
 )
 from .learn import (

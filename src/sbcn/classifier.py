@@ -122,17 +122,15 @@ class DecisionTree:
     feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        def check(node, above: frozenset, path: str):
+        for node, steps in _preorder(self.root):
             if isinstance(node, Split):
-                if node.feature in above:
+                path = "root" + "".join(".right" if value else ".left" for _, value in steps)
+                if node.feature in dict(steps):
                     raise ValueError(
                         f"{path}: feature {node.feature} repeats on a root-to-leaf path")
                 if self.feature_names and node.feature >= len(self.feature_names):
                     raise ValueError(f"{path}: feature {node.feature} has no name among "
                                      f"{len(self.feature_names)} feature_names")
-                check(node.left, above | {node.feature}, f"{path}.left")
-                check(node.right, above | {node.feature}, f"{path}.right")
-        check(self.root, frozenset(), "root")
 
     def to_json(self) -> str:
         obj = {"feature_names": list(self.feature_names), "root": _node_to_obj(self.root)}
@@ -145,25 +143,30 @@ class DecisionTree:
 
     def to_text(self) -> str:
         lines: list[str] = []
-        self._render(self.root, 0, lines)
+        for node, steps in _preorder(self.root):
+            depth = len(steps)
+            if steps:  # the branch of the split above that leads here
+                feature, value = steps[-1]
+                name = (self.feature_names[feature] if feature < len(self.feature_names)
+                        else f"x{feature}")
+                lines.append(f"{'  ' * (depth - 1)}{name} = {value}:")
+            if isinstance(node, Leaf):
+                lines.append(f"{'  ' * depth}-> {node.label} "
+                             f"(profitable={node.counts[0]}, risky={node.counts[1]})")
         return "\n".join(lines) + "\n"
 
-    def _render(self, node, depth: int, lines: list[str]) -> None:
-        pad = "  " * depth
-        if isinstance(node, Leaf):
-            lines.append(
-                f"{pad}-> {node.label} (profitable={node.counts[0]}, risky={node.counts[1]})"
-            )
-            return
-        name = (
-            self.feature_names[node.feature]
-            if node.feature < len(self.feature_names)
-            else f"x{node.feature}"
-        )
-        lines.append(f"{pad}{name} = 0:")
-        self._render(node.left, depth + 1, lines)
-        lines.append(f"{pad}{name} = 1:")
-        self._render(node.right, depth + 1, lines)
+
+def _preorder(root: Union[Split, Leaf]):
+    """Each node under ``root``, every split before its left subtree and
+    that before its right one, with its steps from the root: one
+    (feature, value) pair per split passed, value 0 going left."""
+    stack = [(root, ())]
+    while stack:
+        node, steps = stack.pop()
+        yield node, steps
+        if isinstance(node, Split):
+            stack.append((node.right, (*steps, (node.feature, 1))))
+            stack.append((node.left, (*steps, (node.feature, 0))))
 
 
 def _node_to_obj(node):
@@ -211,24 +214,20 @@ def _majority_leaf(n_prof: int, n_risky: int) -> Leaf:
 # gain (weighted child impurity can only shrink); a sampling-noise floor of
 # this many chi-square units keeps such splits out.
 NOISE_FLOOR_CHI2 = 7.0
+# Neither child of a split may hold fewer than this many training rows.
+MIN_LEAF = 5
 
 
-def learn_tree(
-    features: np.ndarray,
-    labels: np.ndarray,
-    max_depth: int | None = None,
-    min_leaf: int = 5,
-    min_gain: float | None = None,
-) -> DecisionTree:
+def learn_tree(features: np.ndarray, labels: np.ndarray) -> DecisionTree:
     """Greedy binary CART on 0/1 factor features (nonzero reads as 1).
 
     At each node the split with the largest Gini impurity decrease wins
-    (ties to the lowest feature index); growth stops on purity, depth,
-    undersized children, or when no split clears the gain floor.  By
-    default the floor scales as NOISE_FLOOR_CHI2 * node impurity / node
-    rows, the magnitude a best-of-noise split reaches by chance; pass
-    ``min_gain`` (0 allows any improvement) to override.  Leaves carry the
-    majority label with ties resolved to profitable.
+    (ties to the lowest feature index); growth stops on purity, when the
+    path has used every feature, when a child would hold fewer than
+    MIN_LEAF rows, or when no split clears the gain floor.  The floor
+    scales as NOISE_FLOOR_CHI2 * node impurity / node rows, the magnitude a
+    best-of-noise split reaches by chance.  Leaves carry the majority label
+    with ties resolved to profitable.
 
     The tree is grown on the distinct (feature pattern, label) rows, each
     weighted by how often it occurs.  Every row count the tree uses is the
@@ -241,43 +240,28 @@ def learn_tree(
         raise ValueError("features must be a matrix, one row per scenario")
     if labels.shape != (features.shape[0],):
         raise ValueError("one label per feature row required")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
-    n_features = features.shape[1]
-    if max_depth is None:
-        max_depth = n_features
     # the label is column 0 of each grouped row, feature f column f + 1
     rows, counts = _distinct_rows([labels, *features.astype(bool).T], len(labels))
-    root = _grow(
-        rows[:, 1:], rows[:, 0], counts, frozenset(range(n_features)), max_depth, min_leaf, min_gain
-    )
-    return DecisionTree(root)
+    return DecisionTree(_grow(rows[:, 1:], rows[:, 0], counts, frozenset(range(features.shape[1]))))
 
 
 def _grow(
-    features: np.ndarray,
-    labels: np.ndarray,
-    counts: np.ndarray,
-    usable: frozenset[int],
-    depth_left: int,
-    min_leaf: int,
-    min_gain: float | None,
+    features: np.ndarray, labels: np.ndarray, counts: np.ndarray, usable: frozenset[int]
 ) -> Union[Split, Leaf]:
     total = int(counts.sum())
     n_risky = int(counts[labels].sum())
-    if n_risky in (0, total) or depth_left == 0 or not usable or total < 2 * min_leaf:
+    if n_risky in (0, total) or not usable or total < 2 * MIN_LEAF:
         return _majority_leaf(total - n_risky, n_risky)
 
     parent_impurity = _gini(total - n_risky, n_risky)
-    floor = min_gain if min_gain is not None else NOISE_FLOOR_CHI2 * parent_impurity / total
-    best_gain = floor
+    best_gain = NOISE_FLOOR_CHI2 * parent_impurity / total
     best_feature = -1
     rights = counts @ features  # rows with each feature at 1
     risky_rights = counts[labels] @ features[labels]
     for f in sorted(usable):
         n_right = int(rights[f])
         n_left = total - n_right
-        if n_left < min_leaf or n_right < min_leaf:
+        if n_left < MIN_LEAF or n_right < MIN_LEAF:
             continue
         risky_right = int(risky_rights[f])
         risky_left = n_risky - risky_right
@@ -296,10 +280,8 @@ def _grow(
     remaining = usable - {best_feature}
     return Split(
         best_feature,
-        _grow(features[~mask], labels[~mask], counts[~mask], remaining, depth_left - 1,
-              min_leaf, min_gain),
-        _grow(features[mask], labels[mask], counts[mask], remaining, depth_left - 1,
-              min_leaf, min_gain),
+        _grow(features[~mask], labels[~mask], counts[~mask], remaining),
+        _grow(features[mask], labels[mask], counts[mask], remaining),
     )
 
 
@@ -327,15 +309,5 @@ def predict(tree: DecisionTree, factor_assignment) -> str:
 
 def risky_paths(tree: DecisionTree) -> list[dict[int, int]]:
     """One partial factor assignment per risky leaf, in left-to-right order."""
-    paths: list[dict[int, int]] = []
-
-    def walk(node, prefix: dict[int, int]) -> None:
-        if isinstance(node, Leaf):
-            if node.label == RISKY:
-                paths.append(dict(prefix))
-            return
-        walk(node.left, {**prefix, node.feature: 0})
-        walk(node.right, {**prefix, node.feature: 1})
-
-    walk(tree.root, {})
-    return paths
+    return [dict(steps) for node, steps in _preorder(tree.root)
+            if isinstance(node, Leaf) and node.label == RISKY]

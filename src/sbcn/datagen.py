@@ -25,8 +25,6 @@ from .seeds import derive_seed
 
 FACTOR_NAMES_5 = ("Km", "SMB", "HML", "RMW", "CMA")
 
-THRESHOLD_MODES = ("zero", "median")
-
 
 class SingularDesignError(ValueError):
     """Regression design matrix is rank deficient."""
@@ -217,28 +215,20 @@ def lag_align(series: RealSeries, lag: int) -> RealSeries:
     return RealSeries(values, series.names, n_factors=nf)
 
 
-def binarize(series: RealSeries, threshold_mode: str = "median") -> BinaryDataset:
-    """Up/down indicators: 1 iff the value exceeds the column threshold.
-
-    Thresholds are per-column medians ("median", keeps marginals near 0.5)
-    or zero ("zero").  Factor columns get rank 0, stock columns rank 1.
+def binarize(series: RealSeries) -> BinaryDataset:
+    """Up/down indicators: 1 iff the value exceeds its column's median,
+    which keeps marginals near 0.5.  Factor columns get rank 0, stock
+    columns rank 1.
     """
-    _check_choice("threshold_mode", threshold_mode, THRESHOLD_MODES)
-    if threshold_mode == "median":
-        thresholds = np.median(series.values, axis=0)
-    else:
-        thresholds = np.zeros(series.d)
-    cells = (series.values > thresholds).astype(np.uint8)
+    cells = (series.values > np.median(series.values, axis=0)).astype(np.uint8)
     rank = [0 if j < series.n_factors else 1 for j in range(series.d)]
     return BinaryDataset(cells, series.names, rank)
 
 
-def simulate_dataset(
-    spec: FactorModelSpec, T: int, seed: int, threshold_mode: str = "median"
-) -> BinaryDataset:
+def simulate_dataset(spec: FactorModelSpec, T: int, seed: int) -> BinaryDataset:
     """Binarized, lag-aligned training data with exactly T rows."""
     series = simulate(spec, T + spec.lag, seed)
-    return binarize(lag_align(series, spec.lag), threshold_mode)
+    return binarize(lag_align(series, spec.lag))
 
 
 def ground_truth_dag(spec: FactorModelSpec) -> Dag:

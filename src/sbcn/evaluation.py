@@ -34,17 +34,6 @@ def arc_contingency(inferred: Dag, truth: Dag) -> ContingencyStats:
     return ContingencyStats(tp, fp, fn, tn)
 
 
-def roc_upper_envelope(points) -> list[tuple[float, float]]:
-    """Monotone nondecreasing hull of ROC points, sorted by fpr."""
-    ordered = sorted(points)
-    out: list[tuple[float, float]] = []
-    best = -np.inf
-    for fpr, tpr in ordered:
-        best = max(best, tpr)
-        out.append((fpr, best))
-    return out
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Cross-product benchmark description; see ``from_json`` for the schema.
@@ -68,8 +57,10 @@ class SweepConfig:
     SEARCH = ("max_iterations", "restarts", "smoothing", "penalty")
 
     def __post_init__(self):
+        if "mode" not in self.generator:
+            raise ModelSchemaError("generator is missing keys: mode")
         try:
-            generator_params(self.generator.get("mode"), self.generator_params)
+            generator_params(self.generator["mode"], self.generator_params)
             for learner in self.learners:
                 _candidate_rule(learner)
             for crit in self.criteria:

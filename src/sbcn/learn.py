@@ -33,7 +33,6 @@ _PACKED_MAX_ROWS = 1024
 _PACKED_MAX_PARENTS = 5
 
 CRITERIA = ("bic", "aic")
-TP_MODES = ("rank", "marginal")
 PENALTIES = ("arcs", "parameters")
 
 
@@ -65,8 +64,6 @@ class LearnOptions:
     runaway parent accumulation on small samples).
     ``smoothing`` is the pseudo-count used when fitting the exported CPTs
     (scoring always uses the unsmoothed maximum-likelihood fit).
-    ``tp_mode`` selects the temporal-priority test: explicit ranks
-    ("rank", the default) or strict marginal ordering ("marginal").
     """
 
     criterion: str = "bic"
@@ -75,7 +72,6 @@ class LearnOptions:
     smoothing: float = 1.0
     seed: int = 0
     aic_conventional: bool = False
-    tp_mode: str = "rank"
     penalty: str = "arcs"
 
     def __post_init__(self):
@@ -85,7 +81,6 @@ class LearnOptions:
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
         _check_smoothing(self.smoothing)
-        _check_choice("tp_mode", self.tp_mode, TP_MODES)
         _check_choice("penalty", self.penalty, PENALTIES)
 
 
@@ -101,17 +96,17 @@ class EdgeSet:
         object.__setattr__(self, "edges", _arcs(self.n, edges))
 
 
-def prima_facie_edges(dataset: BinaryDataset, tp_mode: str = "rank") -> EdgeSet:
+def prima_facie_edges(dataset: BinaryDataset) -> EdgeSet:
     """Candidate arcs passing temporal priority and strict probability raising.
 
-    Arc (v, u) survives iff v may precede u (rank(v) <= rank(u), or in
-    marginal mode P(v) > P(u)), both marginals are nondegenerate, and
-    P(u=1 | v=1) > P(u=1 | v=0) strictly.  When equal-rank variables raise
-    each other, only the direction with the larger raising margin is kept
-    (ties go to the lower-index source), so the output never carries
+    Arc (v, u) survives iff v may precede u (rank(v) <= rank(u)), both
+    marginals are nondegenerate, and P(u=1 | v=1) > P(u=1 | v=0) strictly.
+    The rank is the only temporal-priority test: give every variable the
+    same rank when the data has no time order.  When equal-rank variables
+    raise each other, only the direction with the larger raising margin is
+    kept (ties go to the lower-index source), so the output never carries
     2-cycles between equally ranked variables.
     """
-    _check_choice("tp_mode", tp_mode, TP_MODES)
     values = dataset.values.astype(np.float64)
     m, n = values.shape
     ones = values.sum(axis=0)
@@ -125,13 +120,7 @@ def prima_facie_edges(dataset: BinaryDataset, tp_mode: str = "rank") -> EdgeSet:
     margin = p_given_1 - p_given_0  # margin[v, u]: how much v=1 raises u
 
     rank = np.asarray(dataset.rank)
-    if tp_mode == "rank":
-        priority = rank[:, None] <= rank[None, :]
-    else:
-        marg = ones / m
-        priority = marg[:, None] > marg[None, :]
-
-    ok = priority & nondeg[:, None] & nondeg[None, :] & (margin > 0)
+    ok = (rank[:, None] <= rank[None, :]) & nondeg[:, None] & nondeg[None, :] & (margin > 0)
     np.fill_diagonal(ok, False)
 
     # bidirectional conflict between equal ranks: keep the stronger raising
@@ -563,7 +552,7 @@ def hill_climb(dataset: BinaryDataset, allowed: EdgeSet, options: LearnOptions) 
 def _prima_facie_rule(dataset: BinaryDataset, options: LearnOptions) -> EdgeSet:
     # Calls prima_facie_edges by its module-level name, so a tracer that
     # patches that name sees every call.
-    return prima_facie_edges(dataset, options.tp_mode)
+    return prima_facie_edges(dataset)
 
 
 def _all_pairs_rule(dataset: BinaryDataset, options: LearnOptions) -> EdgeSet:

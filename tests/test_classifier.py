@@ -150,17 +150,17 @@ class TestLearnTree:
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(5)
-        features = rng.integers(0, 2, size=(12, 3)).astype(np.uint8)
+        features = rng.integers(0, 2, size=(9, 3)).astype(np.uint8)
         labels = features[:, 0] == 0
-        tree = learn_tree(features, labels, min_leaf=7)
-        assert isinstance(tree.root, Leaf)  # no split can give both children 7 rows
+        tree = learn_tree(features, labels)
+        assert isinstance(tree.root, Leaf)  # no split can give both children MIN_LEAF = 5 rows
 
     def test_no_feature_repeats_on_path(self):
         rng = np.random.default_rng(6)
         features = rng.integers(0, 2, size=(3000, 4)).astype(np.uint8)
         score = features @ np.array([4, 3, 2, 1])
         labels = score <= 3
-        tree = learn_tree(features, labels, min_gain=0.0)
+        tree = learn_tree(features, labels)
 
         def walk(node, seen):
             if isinstance(node, Leaf):
@@ -239,15 +239,14 @@ class TestDistinctRowTree:
     replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(tree_inputs(), st.integers(1, 20), st.sampled_from([None, 0, 1, 2, 5]),
-           st.sampled_from([None, 0.0, 0.01]))
-    def test_equals_row_oracle(self, data, min_leaf, max_depth, min_gain):
+    @given(tree_inputs())
+    def test_equals_row_oracle(self, data):
         features, labels = data
-        kwargs = dict(min_leaf=min_leaf, max_depth=max_depth, min_gain=min_gain)
-        got = learn_tree(features, labels, **kwargs)
-        assert got == learn_tree_oracle(features, labels, **kwargs)
+        got = learn_tree(features, labels)
+        want = learn_tree_oracle(features, labels)
+        assert got == want
         # the JSON carries plain ints, as the oracle's tree does
-        assert got.to_json() == learn_tree_oracle(features, labels, **kwargs).to_json()
+        assert got.to_json() == want.to_json()
 
     def test_many_duplicates_with_ties(self):
         # 200 000 rows of 5 factors, the stress command's shape: at most 64
@@ -255,9 +254,7 @@ class TestDistinctRowTree:
         rng = np.random.default_rng(3)
         features = rng.integers(0, 2, size=(200_000, 5), dtype=np.uint8)
         labels = (features[:, 0] == 0) & (rng.random(200_000) < 0.5)
-        for min_gain in (None, 0.0):
-            tree = learn_tree(features, labels, min_gain=min_gain)
-            assert tree == learn_tree_oracle(features, labels, min_gain=min_gain)
+        assert learn_tree(features, labels) == learn_tree_oracle(features, labels)
 
 
 class TestLabelMeasure:

@@ -127,29 +127,22 @@ class TestLagAlign:
 
 
 class TestBinarize:
-    def test_zero_mode(self):
-        series = RealSeries(np.array([[-1.0], [2.0], [3.0], [-4.0]]), ["x"])
-        assert binarize(series, "zero").values[:, 0].tolist() == [0, 1, 1, 0]
-
     def test_median_mode_balances_marginals(self):
         rng = np.random.default_rng(11)
         series = RealSeries(rng.normal(size=(501, 3)), ["a", "b", "c"])
-        data = binarize(series, "median")
+        data = binarize(series)
         for j in range(3):
             assert abs(data.values[:, j].mean() - 0.5) <= 1 / 501 + 1e-9
 
-    def test_all_positive_zero_mode_degenerate(self):
-        series = RealSeries(np.array([[1.0], [2.0]]), ["x"])
-        assert binarize(series, "zero").values[:, 0].tolist() == [1, 1]
+    def test_constant_column_degenerate(self):
+        # no value exceeds the median of a constant column
+        series = RealSeries(np.full((3, 1), 2.0), ["x"])
+        assert binarize(series).values[:, 0].tolist() == [0, 0, 0]
 
     def test_rank_assignment(self):
         series = RealSeries(np.zeros((3, 4)), list("abcd"), n_factors=2)
-        data = binarize(series, "median")
+        data = binarize(series)
         assert data.rank == (0, 0, 1, 1)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="^unknown threshold_mode 'mean'; choose from zero, median$"):
-            binarize(RealSeries(np.zeros((2, 1)), ["x"]), "mean")
 
 
 class TestGroundTruth:

@@ -10,7 +10,6 @@ from sbcn.evaluation import (
     SweepReport,
     SweepRow,
     arc_contingency,
-    roc_upper_envelope,
     run_sweep,
 )
 from sbcn.learn import LearnOptions, fit_cpts
@@ -81,13 +80,6 @@ class TestRocPoint:
         universe_minus_truth_free = arc_contingency(full, full)
         assert universe_minus_truth_free.tpr == 1.0
 
-    def test_upper_envelope_monotone(self):
-        points = [(0.1, 0.5), (0.3, 0.4), (0.2, 0.7), (0.05, 0.2)]
-        env = roc_upper_envelope(points)
-        ys = [y for _, y in env]
-        assert ys == sorted(ys)
-        assert env[0] == (0.05, 0.2)
-
 
 class TestSweepConfig:
     def test_missing_keys_listed(self):
@@ -107,6 +99,10 @@ class TestSweepConfig:
     def test_unknown_criterion(self):
         with pytest.raises(ModelSchemaError, match="unknown criterion 'mdl'"):
             tiny_config(criteria=["mdl"])
+
+    def test_generator_without_mode(self):
+        with pytest.raises(ModelSchemaError, match="^generator is missing keys: mode$"):
+            tiny_config(generator={"n_stocks": 4})
 
     def test_unknown_generator_mode(self):
         with pytest.raises(ModelSchemaError, match="^unknown generator mode 'garch'; choose from famafrench, sparse$"):

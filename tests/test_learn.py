@@ -114,15 +114,6 @@ class TestPrimaFacie:
             doubled = dataset(np.vstack([values, values]), rank=[0, 0, 1, 1])
             assert prima_facie_edges(ds).edges == prima_facie_edges(doubled).edges
 
-    def test_marginal_mode_orders_by_marginal(self):
-        rng = np.random.default_rng(6)
-        cause = (rng.random(4000) < 0.7).astype(np.uint8)
-        effect = np.where(rng.random(4000) < 0.8, cause, rng.integers(0, 2, 4000)).astype(np.uint8)
-        # effect marginal ~ 0.66 < cause marginal 0.7
-        ds = dataset(np.column_stack([cause, effect]))
-        edges = prima_facie_edges(ds, tp_mode="marginal").edges
-        assert edges == frozenset({(0, 1)})
-
     def test_edgeset_rejects_self_loop(self):
         with pytest.raises(ValueError):
             EdgeSet(2, [(1, 1)])
@@ -956,8 +947,8 @@ class TestLearners:
 
     def test_candidate_rules(self):
         ds = famafrench(300)
-        opts = LearnOptions(tp_mode="marginal")
-        assert LEARNERS["sbcn"](ds, opts) == prima_facie_edges(ds, "marginal")
+        opts = LearnOptions()
+        assert LEARNERS["sbcn"](ds, opts) == prima_facie_edges(ds)
         assert LEARNERS["bn"](ds, opts).edges == {
             (u, v) for u in range(ds.n) for v in range(ds.n) if u != v
         }
@@ -982,24 +973,20 @@ class TestLearners:
         with pytest.raises(ValueError, match=r"^smoothing must be >= 0$"):
             LearnOptions(smoothing=-math.inf)
         with pytest.raises(ValueError):
-            LearnOptions(tp_mode="time")
-        with pytest.raises(ValueError):
             LearnOptions(penalty="edges")
 
 
 
 class TestUnknownChoice:
-    """Every unknown criterion, penalty, tp_mode and learner gets one message
+    """Every unknown criterion, penalty and learner gets one message
     form, naming the value and the choices."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda ds: LearnOptions(criterion="mdl"), "unknown criterion 'mdl'; choose from bic, aic"),
         (lambda ds: LearnOptions(penalty="edges"), "unknown penalty 'edges'; choose from arcs, parameters"),
-        (lambda ds: LearnOptions(tp_mode="time"), "unknown tp_mode 'time'; choose from rank, marginal"),
         (lambda ds: regularized_score(ds, Dag(2), "mdl"), "unknown criterion 'mdl'; choose from bic, aic"),
         (lambda ds: regularized_score(ds, Dag(2), penalty="edges"),
          "unknown penalty 'edges'; choose from arcs, parameters"),
-        (lambda ds: prima_facie_edges(ds, "time"), "unknown tp_mode 'time'; choose from rank, marginal"),
         (lambda ds: learn_structure(ds, LearnOptions(), "pc"), "unknown learner 'pc'; choose from sbcn, bn"),
     ])
     def test_one_message_form(self, call, message):
@@ -1032,8 +1019,7 @@ def test_prima_facie_conflict_rule_matches_pair_loop(data):
         st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m)
     )
     rank = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    tp_mode = data.draw(st.sampled_from(["rank", "marginal"]))
     ds = dataset(values, rank=rank)
-    got = prima_facie_edges(ds, tp_mode)
-    assert got == prima_facie_pair_loop_oracle(ds, tp_mode)
+    got = prima_facie_edges(ds)
+    assert got == prima_facie_pair_loop_oracle(ds)
     assert all(type(u) is int and type(v) is int for u, v in got.edges)

@@ -471,3 +471,19 @@ class TestPublicNames:
         exec("from sbcn import *", namespace)
         assert [k for k, v in namespace.items() if isinstance(v, ModuleType)] == []
         assert all(namespace[name] is getattr(sbcn, name) for name in sbcn.__all__)
+
+    @pytest.mark.parametrize("name, keyword, value", [
+        ("learn_tree", "max_depth", None), ("learn_tree", "min_leaf", 5), ("learn_tree", "min_gain", None),
+        ("LearnOptions", "tp_mode", "rank"), ("prima_facie_edges", "tp_mode", "rank"),
+        ("binarize", "threshold_mode", "median"), ("simulate_dataset", "threshold_mode", "median"),
+    ])
+    def test_removed_settings_are_gone(self, name, keyword, value):
+        # the rank is the one temporal-priority test and the median the one
+        # binarization threshold; the tree's depth, leaf size and gain floor
+        # are fixed.  Each keyword, even at its old default, is a TypeError.
+        args = {"learn_tree": (np.zeros((5, 2)), np.zeros(5, dtype=bool)), "LearnOptions": (),
+                "prima_facie_edges": (BinaryDataset([[0, 1], [1, 0]], ["a", "b"], [0, 0]),),
+                "binarize": (RealSeries(np.zeros((2, 1)), ["x"]),),
+                "simulate_dataset": (market_factor_spec(seed=0), 10, 0)}[name]
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'$"):
+            getattr(sbcn, name)(*args, **{keyword: value})
