@@ -216,6 +216,13 @@ class _ScoreTable:
     configurations in that order as numpy's ``add.reduce`` in ``_node_ll``
     does: every score is bit-equal to ``_node_ll``'s, which scores everything
     else over the dataset's distinct rows and their counts.
+
+    The nonempty configuration bitsets of a parent tuple depend only on the
+    tuple, not on the child, so ``_configs`` keeps them per tuple for every
+    prefix ``parents[:-1]`` a packed score splits, and for that prefix's own
+    prefixes: a key holds fewer than _PACKED_MAX_PARENTS parents and at most
+    2^len(key) bitsets, and a first-time score adds at most
+    _PACKED_MAX_PARENTS - 1 keys.
     """
 
     def __init__(self, dataset: BinaryDataset):
@@ -229,6 +236,7 @@ class _ScoreTable:
             self._ones = [int.from_bytes(col.tobytes(), "little") for col in packed.T]
             self._all = (1 << dataset.m) - 1
             self._zeros = [self._all ^ col for col in self._ones]
+            self._configs: dict[tuple[int, ...], list[int]] = {(): [self._all]}
 
     def node_ll(self, v: int, parents: tuple[int, ...]) -> float:
         key = (v, parents)
@@ -248,18 +256,28 @@ class _ScoreTable:
         # need it.
         return _grouped_rows(self._dataset)
 
+    def _split(self, parents: tuple[int, ...]) -> list[int]:
+        """The nonempty configuration bitsets of ``parents``, in
+        ``_node_counts``' order: each of ``parents[:-1]``'s with the last
+        parent off, then each with it on.  Stored, with every prefix built
+        on the way."""
+        configs = self._configs.get(parents)
+        if configs is None:
+            prefix = self._split(parents[:-1])
+            off, on = self._zeros[parents[-1]], self._ones[parents[-1]]
+            # an empty configuration stays empty, and dropping it keeps the
+            # order of the rest
+            configs = [c for r in prefix if (c := r & off)] + [c for r in prefix if (c := r & on)]
+            self._configs[parents] = configs
+        return configs
+
     def _packed_ll(self, v: int, parents: tuple[int, ...]) -> float:
         child, rows = self._ones[v], self._rows
         if not parents:
             return rows[self.m][child.bit_count()]
-        configs = [self._all]
-        for p in parents[:-1]:
-            off, on = self._zeros[p], self._ones[p]
-            # an empty configuration stays empty, and dropping it keeps the
-            # order of the rest
-            configs = [c for r in configs if (c := r & off)] + [c for r in configs if (c := r & on)]
-        # the last parent's split goes straight into the terms, in the same
-        # order: its off half, then its on half
+        configs = self._split(parents[:-1])
+        # the last parent's split goes straight into the terms, in
+        # ``_split``'s order, and is not stored
         off, on = self._zeros[parents[-1]], self._ones[parents[-1]]
         terms = [rows[c.bit_count()][(c & child).bit_count()] for r in configs if (c := r & off)]
         terms += [rows[c.bit_count()][(c & child).bit_count()] for r in configs if (c := r & on)]

@@ -98,9 +98,9 @@ def prima_facie_oracle(ds):
     return edges
 
 
-def prima_facie_pair_loop_oracle(dataset, tp_mode="rank"):
+def prima_facie_pair_loop_oracle(dataset):
     """``learn.prima_facie_edges`` as it resolved equal-rank conflicts before
-    vectorising: one Python test per passing pair, in either ``tp_mode``."""
+    vectorising: one Python test per passing pair."""
     values = dataset.values.astype(np.float64)
     m, n = values.shape
     ones = values.sum(axis=0)
@@ -114,13 +114,7 @@ def prima_facie_pair_loop_oracle(dataset, tp_mode="rank"):
     margin = p_given_1 - p_given_0  # margin[v, u]: how much v=1 raises u
 
     rank = np.asarray(dataset.rank)
-    if tp_mode == "rank":
-        priority = rank[:, None] <= rank[None, :]
-    else:
-        marg = ones / m
-        priority = marg[:, None] > marg[None, :]
-
-    ok = priority & nondeg[:, None] & nondeg[None, :] & (margin > 0)
+    ok = (rank[:, None] <= rank[None, :]) & nondeg[:, None] & nondeg[None, :] & (margin > 0)
     np.fill_diagonal(ok, False)
 
     edges = set()
@@ -363,37 +357,28 @@ def _majority_leaf_oracle(labels):
     return Leaf(RISKY if n_risky > n_prof else PROFITABLE, (n_prof, n_risky))
 
 
-def learn_tree_oracle(features, labels, max_depth=None, min_leaf=5, impurity="gini", min_gain=None):
+def learn_tree_oracle(features, labels):
     """Verbatim copy of the tree learner before it grew on distinct rows: every
     node masks and counts the full rows that reach it."""
-    if impurity != "gini":
-        raise ValueError(f"only gini impurity is supported, got {impurity!r}")
     features = np.asarray(features)
     labels = np.asarray(labels).astype(bool)
     if features.ndim != 2:
         raise ValueError("features must be a matrix, one row per scenario")
     if labels.shape != (features.shape[0],):
         raise ValueError("one label per feature row required")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
-    n_features = features.shape[1]
-    if max_depth is None:
-        max_depth = n_features
-    root = _grow_oracle(
-        features.astype(bool), labels, frozenset(range(n_features)), max_depth, min_leaf, min_gain
-    )
+    root = _grow_oracle(features.astype(bool), labels, frozenset(range(features.shape[1])))
     return DecisionTree(root)
 
 
-def _grow_oracle(features, labels, usable, depth_left, min_leaf, min_gain):
+def _grow_oracle(features, labels, usable):
+    min_leaf = 5  # rows on each side of a split, at least
     total = labels.shape[0]
     n_risky = int(labels.sum())
-    if n_risky in (0, total) or depth_left == 0 or not usable or total < 2 * min_leaf:
+    if n_risky in (0, total) or not usable or total < 2 * min_leaf:
         return _majority_leaf_oracle(labels)
 
     parent_impurity = _gini_oracle(total - n_risky, n_risky)
-    floor = min_gain if min_gain is not None else NOISE_FLOOR_CHI2 * parent_impurity / total
-    best_gain = floor
+    best_gain = NOISE_FLOOR_CHI2 * parent_impurity / total
     best_feature = -1
     for f in sorted(usable):
         right_mask = features[:, f]
@@ -418,8 +403,8 @@ def _grow_oracle(features, labels, usable, depth_left, min_leaf, min_gain):
     remaining = usable - {best_feature}
     return Split(
         best_feature,
-        _grow_oracle(features[~mask], labels[~mask], remaining, depth_left - 1, min_leaf, min_gain),
-        _grow_oracle(features[mask], labels[mask], remaining, depth_left - 1, min_leaf, min_gain),
+        _grow_oracle(features[~mask], labels[~mask], remaining),
+        _grow_oracle(features[mask], labels[mask], remaining),
     )
 
 

@@ -21,7 +21,7 @@ from oracles import (
     prima_facie_pair_loop_oracle,
     tiny_linear_dataset,
 )
-from sbcn.datagen import generate_instance
+from sbcn.datagen import generate_instance, sparse_random_instance
 from sbcn.learn import (
     CRITERIA,
     LEARNERS,
@@ -53,6 +53,7 @@ from sbcn.learn import (
     _ScoreTable,
 )
 from sbcn.model import BinaryDataset, Dag, has_cycle
+from sbcn.seeds import derive_seed
 
 
 class TestPrimaFacie:
@@ -479,6 +480,84 @@ class TestPackedKernel:
         for m in (5, _PACKED_MAX_ROWS, _PACKED_MAX_ROWS + 1):
             _ScoreTable(dataset(np.ones((m, 2), dtype=int))).node_ll(0, (1,))
         assert len(sbcn.learn._TERM_ROWS) == _PACKED_MAX_ROWS + 1
+
+
+def configuration_bitsets(values, parents):
+    """The rows of each nonempty configuration of ``parents`` as an int bitset
+    (bit i is row i), in ascending configuration index (parent j is bit j)."""
+    index = values[:, list(parents)].astype(np.int64) @ (1 << np.arange(len(parents), dtype=np.int64))
+    rows = {}
+    for i, c in enumerate(index.tolist()):
+        rows[c] = rows.get(c, 0) | 1 << i
+    return [rows[c] for c in sorted(rows)]
+
+
+class PackedLog(_ScoreTable):
+    """A score table that checks the prefix store's growth on every
+    first-time packed score."""
+
+    packed_scores = 0
+
+    def _packed_ll(self, v, parents):
+        keys = len(self._configs)
+        ll = super()._packed_ll(v, parents)
+        assert len(self._configs) - keys <= _PACKED_MAX_PARENTS - 1
+        self.packed_scores += 1
+        return ll
+
+
+class TestPrefixConfigs:
+    """The configuration bitsets kept per parent prefix change no score, and
+    the store stays bounded by the first-time packed scores."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.sampled_from([8, 250, _PACKED_MAX_ROWS]),
+        marginals=st.lists(MARGINALS, min_size=2, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_walk_bit_equal(self, m, marginals, seed, data):
+        # One-parent toggles at drawn children, each set scored on one table,
+        # so cache hits and misses of every prefix come in every order.
+        rng = np.random.default_rng(seed)
+        ds = dataset((rng.random((m, len(marginals))) < marginals).astype(np.uint8))
+        x = full_matrix(ds)
+        table = _ScoreTable(ds)
+        parents = [() for _ in range(ds.n)]
+        steps = data.draw(st.lists(st.tuples(st.integers(0, ds.n - 1), st.integers(1, ds.n - 1),
+                                             st.integers(0, _PACKED_MAX_PARENTS)), max_size=30))
+        for v, shift, at in steps:
+            u = (v + shift) % ds.n
+            old = parents[v]
+            if u in old:
+                parents[v] = tuple(p for p in old if p != u)
+            elif len(old) < _PACKED_MAX_PARENTS:
+                parents[v] = old[:at] + (u,) + old[at:]  # any order, not only sorted
+            # and with its prefix reversed: the same configurations in
+            # another order, so a prefix kept by its set would sum wrongly
+            for key in (parents[v], parents[v][-2::-1] + parents[v][-1:]):
+                got = float_bits(table.node_ll(v, key))
+                assert got == float_bits(node_ll_oracle(x, v, key))
+                assert got == float_bits(_ScoreTable(ds).node_ll(v, key))
+        for key, configs in table._configs.items():
+            assert configs == configuration_bitsets(ds.values, key)
+
+    @pytest.mark.parametrize("learner, m", [("sbcn", 250), ("bn", _PACKED_MAX_ROWS)])
+    def test_store_stays_bounded(self, learner, m):
+        # criterion 4's setting, and the all-pairs search on the most rows
+        # the packed kernel takes
+        _, _, ds = sparse_random_instance(T=m, seed=derive_seed(444, 0))
+        options = LearnOptions(
+            max_iterations=2000, seed=derive_seed(444, 0, 1), penalty="parameters"
+        )
+        table = PackedLog(ds)
+        candidates = sorted(LEARNERS[learner](ds, options).edges)
+        _climb_once(table, candidates, options, derive_seed(options.seed, 0))
+        assert table.packed_scores > 0
+        for key, configs in table._configs.items():
+            assert len(key) < _PACKED_MAX_PARENTS
+            assert len(configs) <= 2 ** len(key)
 
 
 def grouping_data(seed, m, width, repeats):
