@@ -9,7 +9,6 @@ refit on the original data for the reduced structure.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +69,9 @@ def _fan_out(fn, tasks: list, threads: int | None) -> list:
     threads = threads or os.cpu_count() or 1
     if threads <= 1:
         return [fn(t) for t in tasks]
+    # imported here so that serial runs do not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 

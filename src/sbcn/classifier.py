@@ -66,16 +66,20 @@ def label_measure(
     measure among the risky ones.  Returns ``(labels, cut)``; the cut is
     None when no scenario is risky.
     """
+    count = measure.shape[0]
+    cut = _cut(risky_fraction, count, lambda k: np.partition(measure, k - 1)[k - 1])
+    return (np.zeros(count, dtype=bool) if cut is None else measure <= cut), cut
+
+
+def _cut(risky_fraction: float, count: int, kth) -> float | None:
+    """The risky cut of ``count`` up measures: the k-th smallest, read by
+    ``kth(k)``, for k = ceil(risky_fraction * count); None when k is 0."""
     if not 0.0 <= risky_fraction <= 1.0:
         raise ValueError("risky_fraction must lie in [0, 1]")
-    count = measure.shape[0]
     if count < 1:
         raise ValueError("need at least one scenario to label")
     k = math.ceil(risky_fraction * count)
-    if k == 0:
-        return np.zeros(count, dtype=bool), None
-    cut = np.partition(measure, k - 1)[k - 1]
-    return measure <= cut, float(cut)
+    return None if k == 0 else float(kth(k))
 
 
 def label_scenarios(
@@ -240,9 +244,14 @@ def learn_tree(features: np.ndarray, labels: np.ndarray) -> DecisionTree:
         raise ValueError("features must be a matrix, one row per scenario")
     if labels.shape != (features.shape[0],):
         raise ValueError("one label per feature row required")
-    # the label is column 0 of each grouped row, feature f column f + 1
-    rows, counts = _distinct_rows([labels, *features.astype(bool).T], len(labels))
-    return DecisionTree(_grow(rows[:, 1:], rows[:, 0], counts, frozenset(range(features.shape[1]))))
+    return _grow_tree(*_distinct_rows([labels, *features.astype(bool).T], len(labels)))
+
+
+def _grow_tree(rows: np.ndarray, counts: np.ndarray, feature_names=()) -> DecisionTree:
+    """The tree of :func:`learn_tree` grown on 0/1 rows, each standing for
+    ``counts`` training rows: the label in column 0, feature f in column f + 1."""
+    features = range(rows.shape[1] - 1)
+    return DecisionTree(_grow(rows[:, 1:], rows[:, 0], counts, frozenset(features)), feature_names)
 
 
 def _grow(
@@ -283,6 +292,72 @@ def _grow(
         _grow(features[~mask], labels[~mask], counts[~mask], remaining),
         _grow(features[mask], labels[mask], counts[mask], remaining),
     )
+
+
+# The largest (factor pattern, up count) table counted in one dense array.
+_DENSE_CELLS = 1 << 16
+
+
+def _pattern_up_counts(blocks, n_factors: int, max_up: int):
+    """The distinct (factor pattern, up count) pairs of streamed rows, and
+    how many rows hold each.
+
+    ``blocks`` yields, per row block, the (n_factors, rows) 0/1 factor
+    columns and the rows' integer up counts, each in [0, max_up].  Returns
+    ``(patterns, ups, counts)``: a (D, n_factors) bool matrix, the D up
+    counts and their D int64 counts.  While the table of every pair has at
+    most _DENSE_CELLS cells, each row is counted in it at pattern *
+    (max_up + 1) + up, factor j at pattern bit j.  A larger table is kept
+    as the distinct rows (factor columns, then the up count's bits) of
+    each block, which ``model._distinct_rows`` groups at any width, merged
+    whenever the unmerged ones number as many as the merged ones: each row
+    is regrouped O(log rows) times, and no more rows are held than were
+    drawn.
+    """
+    width = max_up + 1
+    cells = width << n_factors
+    if cells <= _DENSE_CELLS:
+        table = np.zeros(cells, dtype=np.int64)
+        for columns, up in blocks:
+            index = np.zeros(len(up), dtype=np.intp)
+            for j, column in enumerate(columns):
+                index |= np.left_shift(column, j, dtype=np.intp)
+            index *= width
+            index += up.astype(np.intp)
+            table += np.bincount(index, minlength=cells)
+        filled = np.flatnonzero(table)
+        patterns, ups = np.divmod(filled, width)
+        return (patterns[:, None] >> np.arange(n_factors) & 1).astype(bool), ups, table[filled]
+    bits = max_up.bit_length()
+    held = []  # (distinct rows, counts): the merged ones first
+    for columns, up in blocks:
+        up = up.astype(np.intp)
+        held.append(_distinct_rows([*columns, *(up >> b & 1 for b in range(bits))], len(up)))
+        if sum(len(counts) for _, counts in held[1:]) >= len(held[0][1]):
+            held = [_merged(held)]
+    rows, counts = _merged(held)
+    return rows[:, :n_factors], rows[:, n_factors:].astype(np.intp) @ (1 << np.arange(bits)), counts
+
+
+def _merged(held):
+    """One (distinct rows, counts) pair of several."""
+    if len(held) == 1:
+        return held[0]
+    columns = [np.concatenate([rows[:, j] for rows, _ in held]) for j in range(held[0][0].shape[1])]
+    counts = np.concatenate([counts for _, counts in held])
+    return _distinct_rows(columns, len(counts), counts)
+
+
+def _labeled_rows(patterns, ups, counts, risky_fraction: float):
+    """The (label, pattern) rows of :func:`_grow_tree` with their counts, and
+    the cut, for the output of :func:`_pattern_up_counts`, labeled by the rule
+    of :func:`label_measure` over all the rows they count."""
+    histogram = np.cumsum(np.bincount(ups, counts))  # float64 sums of integers
+    cut = _cut(risky_fraction, int(counts.sum()),
+               lambda k: np.searchsorted(histogram, k))
+    labels = np.zeros(len(ups), dtype=bool) if cut is None else ups <= cut
+    rows, counts = _distinct_rows([labels, *patterns.T], len(labels), counts)
+    return rows, counts, cut
 
 
 def predict(tree: DecisionTree, factor_assignment) -> str:

@@ -12,14 +12,12 @@ import sys
 from dataclasses import fields, replace
 from typing import get_type_hints
 
-import numpy as np
-
 from .bootstrap import edge_confidence, prune
 from .classifier import (
-    DecisionTree,
     Portfolio,
-    label_measure,
-    learn_tree,
+    _grow_tree,
+    _labeled_rows,
+    _pattern_up_counts,
     risky_paths,
     up_counts,
 )
@@ -166,10 +164,11 @@ def _parse_clamp(text: str, model: SbcnModel) -> dict[int, int]:
 
 
 def _cmd_stress(args) -> int:
-    """Sample, label and write one row block at a time: beyond the tree
-    sample's factor columns and up measures, memory does not grow with the
-    counts.  The files are those of ``scenarios_to_csv(stress_sample(...))``
-    and of a tree learned on a materialised ``ancestral_sample``."""
+    """Sample, label and write one row block at a time: the tree sample is
+    kept only as counts of its distinct (factor pattern, up count) pairs,
+    and the scenarios are not kept at all.  The files are those of
+    ``scenarios_to_csv(stress_sample(...))`` and of a tree learned on a
+    materialised ``ancestral_sample``."""
     model = SbcnModel.from_json(_read(args.model))
     factors, stocks = _split_nodes(model)
     if args.clamp:
@@ -178,24 +177,17 @@ def _cmd_stress(args) -> int:
     else:
         if not stocks:
             raise ValueError("model has no later-ranked stock variables to build a portfolio on")
+        # the weights are ones, so each up measure is an exact integer
         portfolio = Portfolio(stocks)
-        features = np.empty((args.samples_for_tree, len(factors)), dtype=np.uint8)
-        # exact per block: the weights are ones, so every partial sum is a
-        # small integer whatever the summation order
-        measure = np.empty(args.samples_for_tree)
-        start = 0
-        for block in _blocks(model, args.samples_for_tree, derive_seed(args.seed, 0)):
-            stop = start + block.shape[1]
-            features[start:stop] = block[factors].T
-            measure[start:stop] = up_counts(block.T, portfolio)
-            start = stop
-        labels, cut = label_measure(measure, args.risky_fraction)
+        blocks = _blocks(model, args.samples_for_tree, derive_seed(args.seed, 0))
+        table = _pattern_up_counts(((block[factors], up_counts(block.T, portfolio)) for block in blocks),
+                                   len(factors), len(stocks))
+        rows, counts, cut = _labeled_rows(*table, args.risky_fraction)
         _log(
-            f"labeled {int(labels.sum())}/{len(labels)} scenarios risky "
+            f"labeled {int(counts[rows[:, 0]].sum())}/{args.samples_for_tree} scenarios risky "
             f"(up-count cut {'n/a' if cut is None else repr(cut)})"
         )
-        tree = learn_tree(features, labels)
-        tree = DecisionTree(tree.root, tuple(model.names[i] for i in factors))
+        tree = _grow_tree(rows, counts, tuple(model.names[i] for i in factors))
         _log(tree.to_text().rstrip("\n"))
         if args.out_tree:
             _write(args.out_tree, tree.to_json())

@@ -181,9 +181,10 @@ def _as_binary_matrix(values) -> np.ndarray:
     return _frozen(arr, np.uint8)
 
 
-def _distinct_rows(columns, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(columns, m: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``m``-long 0/1 columns, as a column-major bool
-    matrix, and the int64 count of each.
+    matrix, and the int64 count of each: its number of rows or, given
+    integer ``weights``, one per row, their sum.
 
     ``columns`` is a sequence of 1-D arrays; a matrix's transpose serves.
     Each row is packed into an int64 code, column j at bit j, and the codes
@@ -204,12 +205,17 @@ def _distinct_rows(columns, m: int) -> tuple[np.ndarray, np.ndarray]:
             stages.append((prefix, width, j))
         code |= np.left_shift(column, width, dtype=np.int64)
         width += 1
-    code, counts = np.unique(code, return_counts=True)
+    if weights is None:
+        code, counts = np.unique(code, return_counts=True)
+    else:  # float64 sums of integers, exact below 2**53
+        code, inverse = np.unique(code, return_inverse=True)
+        counts = np.bincount(inverse, weights, len(code)).astype(np.int64)
     rows = np.empty((len(code), len(columns)), dtype=bool, order="F")
     stop = len(columns)
     for prefix, bits, start in reversed(stages):
-        # column-major, so no transposing copy on the way
-        rows[:, start:stop] = ((code >> np.arange(bits, bits + stop - start)[:, None]) & 1).T
+        # one column at a time, so no temporary of (columns x rows) int64
+        for j in range(start, stop):
+            np.bitwise_and(code >> (bits + j - start), 1, out=rows[:, j], casting="unsafe")
         code = code & ((1 << bits) - 1)
         if prefix is not None:
             code = prefix[code]

@@ -195,5 +195,5 @@ class TestFanOut:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr("sbcn.bootstrap.os.cpu_count", lambda: cores)
-        monkeypatch.setattr("sbcn.bootstrap.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         assert _fan_out(str, [1, 2, 3], threads) == ["1", "2", "3"]

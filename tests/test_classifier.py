@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from sbcn.classifier import (
     risky_paths,
     up_counts,
 )
-from sbcn.model import ModelSchemaError
+from sbcn import classifier
+from sbcn.model import ModelSchemaError, _distinct_rows
 
 
 def scenarios_with_factor_rule(rng, count=1000, n_factors=5, n_stocks=10):
@@ -276,6 +278,40 @@ class TestLabelMeasure:
             label_measure(np.zeros(3), 1.5)
         with pytest.raises(ValueError, match="at least one scenario"):
             label_measure(np.zeros(0), 0.1)
+
+
+class TestPatternUpCounts:
+    """The streamed (factor pattern, up count) table gives the (label,
+    pattern) rows, counts and cut of labeling and grouping every row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # 62 factors and max_up 1 fill one int64 code; 60 and max_up >= 8 pass it
+        n_factors=st.sampled_from([1, 3, 5, 60, 62]),
+        max_up=st.integers(1, 20),
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+        pool=st.integers(1, 64),
+        fraction=st.sampled_from([0.0, 0.1, 0.37, 1.0]),
+        dense_cells=st.sampled_from([0, classifier._DENSE_CELLS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_labeling_every_row(self, n_factors, max_up, sizes, pool, fraction, dense_cells,
+                                       seed):
+        rng = np.random.default_rng(seed)
+        patterns = rng.integers(0, 2, size=(pool, n_factors), dtype=np.uint8)
+        blocks = [(patterns[rng.integers(0, pool, size=m)].T, rng.integers(0, max_up + 1, size=m) * 1.0)
+                  for m in sizes]
+        features = np.hstack([columns for columns, _ in blocks]).T
+        labels, cut = label_measure(np.concatenate([up for _, up in blocks]), fraction)
+        want_rows, want_counts = _distinct_rows([labels, *features.T], len(labels))
+        with mock.patch.object(classifier, "_DENSE_CELLS", dense_cells):
+            table = classifier._pattern_up_counts(iter(blocks), n_factors, max_up)
+        rows, counts, got_cut = classifier._labeled_rows(*table, fraction)
+        assert got_cut == cut
+        assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
+        assert counts.dtype == np.int64
+        assert classifier._grow_tree(rows, counts) == learn_tree(features, labels)
+
 
 class TestPredict:
     def test_single_leaf_tree(self):

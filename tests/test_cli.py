@@ -18,7 +18,13 @@ from sbcn.classifier import (
     up_counts,
 )
 from sbcn.cli import main
-from sbcn.datagen import generate_instance, ground_truth_dag, market_factor_spec, simulate_dataset
+from sbcn.datagen import (
+    generate_instance,
+    ground_truth_dag,
+    market_factor_spec,
+    simulate_dataset,
+    sparse_random_instance,
+)
 from sbcn.learn import LearnOptions, fit_cpts
 from sbcn.model import (
     BinaryDataset,
@@ -56,6 +62,18 @@ def model_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(model.to_json())
     return path
+
+
+class TestStartup:
+    def test_import_leaves_out_the_process_pool(self):
+        """Only a parallel fan-out loads concurrent.futures and, with it,
+        multiprocessing; a serial command does not pay for them."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, sbcn.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, encoding="utf-8")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestSimulate:
@@ -248,7 +266,7 @@ class TestInfer:
                 return map(fn, tasks)
 
         monkeypatch.setattr("sbcn.bootstrap.os.cpu_count", lambda: 3)
-        monkeypatch.setattr("sbcn.bootstrap.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         assert run(args + ["--bootstrap", 2, "--threads", 0, "--out-model", tmp_path / "c.json"]) == 0
         assert seen == [3]
 
@@ -430,17 +448,21 @@ B = _BLOCK_ROWS
 COUNTS = [0, 1, B - 1, B, B + 1, 2 * B + 1]
 
 
-def in_memory_stress(model, seed, samples_for_tree, count):
-    """The tree JSON and scenario CSV of `stress` at the default risky
-    fraction and path index, from whole sample matrices."""
+def in_memory_stress(model, seed, samples_for_tree, count, risky_fraction=0.1):
+    """The tree JSON and scenario CSV of `stress` at the default path index,
+    from whole sample matrices; the CSV is None when the tree has no risky
+    leaf."""
     lowest = min(model.rank)
     factors = [i for i, r in enumerate(model.rank) if r == lowest]
     stocks = [i for i, r in enumerate(model.rank) if r != lowest]
     scenarios = ancestral_sample(model, samples_for_tree, derive_seed(seed, 0))
-    labels, _ = label_measure(up_counts(scenarios, Portfolio(stocks)), 0.1)
+    labels, _ = label_measure(up_counts(scenarios, Portfolio(stocks)), risky_fraction)
     tree = learn_tree(scenarios[:, factors], labels)
     tree = DecisionTree(tree.root, tuple(model.names[i] for i in factors))
-    assignment = {factors[f]: v for f, v in risky_paths(tree)[0].items()}
+    paths = risky_paths(tree)
+    if not paths:
+        return tree.to_json(), None
+    assignment = {factors[f]: v for f, v in paths[0].items()}
     stressed = stress_sample(model, assignment, count, derive_seed(seed, 1))
     return tree.to_json(), scenarios_to_csv(stressed, model.names)
 
@@ -469,6 +491,45 @@ class TestStressStream:
         expected_tree, expected_csv = in_memory_stress(model, 5, samples, count)
         assert read(tree) == expected_tree
         assert out.read_bytes() == expected_csv.encode()
+
+    @pytest.mark.parametrize("n_factors, n_stocks, p", [
+        (12, 20, 0.3),  # 4096 patterns x 21 up counts: past the dense table
+        (60, 8, 0.05),  # 60 factor bits + 4 up-count bits: past one int64 code
+    ])
+    @pytest.mark.parametrize("samples", [B + 1, 4 * B + 1])
+    def test_tree_path_equals_in_memory_many_factors(self, tmp_path, n_factors, n_stocks, p, samples):
+        _, dag, data = sparse_random_instance(n_factors, n_stocks, p, T=2000, seed=n_factors)
+        model = fit_cpts(data, dag)
+        path, out, tree = tmp_path / "m.json", tmp_path / "s.csv", tmp_path / "t.json"
+        path.write_text(model.to_json())
+        assert run(["stress", "--model", path, "--samples-for-tree", samples, "--count", B + 1,
+                    "--risky-fraction", 0.3, "--seed", 5, "--out-scenarios", out,
+                    "--out-tree", tree]) == 0
+        expected_tree, expected_csv = in_memory_stress(model, 5, samples, B + 1, 0.3)
+        assert read(tree) == expected_tree
+        assert out.read_bytes() == expected_csv.encode()
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_tree_path_equals_in_memory_at_extreme_fractions(self, tmp_path, capsys, model_file,
+                                                              fraction):
+        out, tree = tmp_path / "s.csv", tmp_path / "t.json"
+        code = run(["stress", "--model", model_file, "--samples-for-tree", B + 1,
+                    "--risky-fraction", fraction, "--count", B + 1, "--seed", 5,
+                    "--out-scenarios", out, "--out-tree", tree])
+        model = SbcnModel.from_json(read(model_file))
+        expected_tree, expected_csv = in_memory_stress(model, 5, B + 1, B + 1, fraction)
+        assert read(tree) == expected_tree
+        # no row is risky at 0, so no leaf is; at 1 the root leaf is risky
+        assert (expected_csv is None) == (fraction == 0.0)
+        if expected_csv is None:
+            assert code == 1
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                "error: no risky leaf derivable from the classification tree; "
+                "raise --risky-fraction or supply --clamp")
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert out.read_bytes() == expected_csv.encode()
 
     def test_non_ascii_name_round_trips(self, tmp_path, model_file):
         model = SbcnModel.from_json(read(model_file))
@@ -504,6 +565,19 @@ class TestStressStream:
 
         small, large = peak(30000), peak(300000)
         assert large < 6 * 2**20
+        assert abs(large - small) < 2**20
+
+    def test_memory_does_not_grow_with_samples_for_tree(self, tmp_path, model_file):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                assert run(["stress", "--model", model_file, "--samples-for-tree", samples,
+                            "--count", 1000, "--out-scenarios", tmp_path / "s.csv"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(30000), peak(300000)
         assert abs(large - small) < 2**20
 
 
