@@ -294,17 +294,38 @@ def _grow(
     )
 
 
+def tree_from_blocks(blocks, n_factors: int, max_up: int, risky_fraction: float,
+                     feature_names=()) -> tuple[DecisionTree, int, float | None]:
+    """The tree of :func:`learn_tree` on streamed rows labeled by
+    :func:`label_measure`, without keeping the rows.
+
+    ``blocks`` yields, per row block, the (n_factors, rows) 0/1 factor
+    columns and the rows' integer up counts, each in [0, max_up]; the up
+    count is the label's measure.  Returns ``(tree, risky rows, cut)``,
+    the tree's features named by ``feature_names``.
+    """
+    patterns, ups, counts = _pattern_up_counts(blocks, n_factors, max_up)
+    histogram = np.cumsum(np.bincount(ups, counts))  # float64 sums of integers
+    cut = _cut(risky_fraction, int(counts.sum()), lambda k: np.searchsorted(histogram, k))
+    labels = np.zeros(len(ups), dtype=bool) if cut is None else ups <= cut
+    # learn_tree's rows: the label in column 0, in the same code order
+    rows, counts = _distinct_rows([labels, *patterns.T], len(labels), counts)
+    return _grow_tree(rows, counts, feature_names), int(counts[rows[:, 0]].sum()), cut
+
+
 # The largest (factor pattern, up count) table counted in one dense array.
+# The dense count is the gain of the streamed table: with every table
+# grouped instead, stress-2e5 ran 10% slower, below the old per-row path
+# (BENCH_stress_counts.json, dense_table_against_grouped_only).
 _DENSE_CELLS = 1 << 16
 
 
 def _pattern_up_counts(blocks, n_factors: int, max_up: int):
-    """The distinct (factor pattern, up count) pairs of streamed rows, and
-    how many rows hold each.
+    """The distinct (factor pattern, up count) pairs of the rows that the
+    ``blocks`` of :func:`tree_from_blocks` yield, and how many rows hold
+    each.
 
-    ``blocks`` yields, per row block, the (n_factors, rows) 0/1 factor
-    columns and the rows' integer up counts, each in [0, max_up].  Returns
-    ``(patterns, ups, counts)``: a (D, n_factors) bool matrix, the D up
+    Returns ``(patterns, ups, counts)``: a (D, n_factors) bool matrix, the D up
     counts and their D int64 counts.  While the table of every pair has at
     most _DENSE_CELLS cells, each row is counted in it at pattern *
     (max_up + 1) + up, factor j at pattern bit j.  A larger table is kept
@@ -346,18 +367,6 @@ def _merged(held):
     columns = [np.concatenate([rows[:, j] for rows, _ in held]) for j in range(held[0][0].shape[1])]
     counts = np.concatenate([counts for _, counts in held])
     return _distinct_rows(columns, len(counts), counts)
-
-
-def _labeled_rows(patterns, ups, counts, risky_fraction: float):
-    """The (label, pattern) rows of :func:`_grow_tree` with their counts, and
-    the cut, for the output of :func:`_pattern_up_counts`, labeled by the rule
-    of :func:`label_measure` over all the rows they count."""
-    histogram = np.cumsum(np.bincount(ups, counts))  # float64 sums of integers
-    cut = _cut(risky_fraction, int(counts.sum()),
-               lambda k: np.searchsorted(histogram, k))
-    labels = np.zeros(len(ups), dtype=bool) if cut is None else ups <= cut
-    rows, counts = _distinct_rows([labels, *patterns.T], len(labels), counts)
-    return rows, counts, cut
 
 
 def predict(tree: DecisionTree, factor_assignment) -> str:

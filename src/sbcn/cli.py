@@ -13,14 +13,7 @@ from dataclasses import fields, replace
 from typing import get_type_hints
 
 from .bootstrap import edge_confidence, prune
-from .classifier import (
-    Portfolio,
-    _grow_tree,
-    _labeled_rows,
-    _pattern_up_counts,
-    risky_paths,
-    up_counts,
-)
+from .classifier import Portfolio, risky_paths, tree_from_blocks, up_counts
 from .datagen import GENERATOR_MODES, generate_instance
 from .evaluation import RATE_FIELDS, SweepConfig, arc_contingency, run_sweep
 from .learn import CRITERIA, LEARNERS, PENALTIES, LearnOptions, learn_model
@@ -180,14 +173,13 @@ def _cmd_stress(args) -> int:
         # the weights are ones, so each up measure is an exact integer
         portfolio = Portfolio(stocks)
         blocks = _blocks(model, args.samples_for_tree, derive_seed(args.seed, 0))
-        table = _pattern_up_counts(((block[factors], up_counts(block.T, portfolio)) for block in blocks),
-                                   len(factors), len(stocks))
-        rows, counts, cut = _labeled_rows(*table, args.risky_fraction)
+        tree, n_risky, cut = tree_from_blocks(
+            ((block[factors], up_counts(block.T, portfolio)) for block in blocks),
+            len(factors), len(stocks), args.risky_fraction, tuple(model.names[i] for i in factors))
         _log(
-            f"labeled {int(counts[rows[:, 0]].sum())}/{args.samples_for_tree} scenarios risky "
+            f"labeled {n_risky}/{args.samples_for_tree} scenarios risky "
             f"(up-count cut {'n/a' if cut is None else repr(cut)})"
         )
-        tree = _grow_tree(rows, counts, tuple(model.names[i] for i in factors))
         _log(tree.to_text().rstrip("\n"))
         if args.out_tree:
             _write(args.out_tree, tree.to_json())

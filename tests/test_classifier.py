@@ -20,10 +20,11 @@ from sbcn.classifier import (
     learn_tree,
     predict,
     risky_paths,
+    tree_from_blocks,
     up_counts,
 )
 from sbcn import classifier
-from sbcn.model import ModelSchemaError, _distinct_rows
+from sbcn.model import ModelSchemaError
 
 
 def scenarios_with_factor_rule(rng, count=1000, n_factors=5, n_stocks=10):
@@ -280,9 +281,10 @@ class TestLabelMeasure:
             label_measure(np.zeros(0), 0.1)
 
 
-class TestPatternUpCounts:
-    """The streamed (factor pattern, up count) table gives the (label,
-    pattern) rows, counts and cut of labeling and grouping every row."""
+class TestTreeFromBlocks:
+    """The tree grown from the streamed (factor pattern, up count) table is
+    that of labeling and keeping every row, with the same risky count and
+    cut."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -303,14 +305,11 @@ class TestPatternUpCounts:
                   for m in sizes]
         features = np.hstack([columns for columns, _ in blocks]).T
         labels, cut = label_measure(np.concatenate([up for _, up in blocks]), fraction)
-        want_rows, want_counts = _distinct_rows([labels, *features.T], len(labels))
         with mock.patch.object(classifier, "_DENSE_CELLS", dense_cells):
-            table = classifier._pattern_up_counts(iter(blocks), n_factors, max_up)
-        rows, counts, got_cut = classifier._labeled_rows(*table, fraction)
-        assert got_cut == cut
-        assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
-        assert counts.dtype == np.int64
-        assert classifier._grow_tree(rows, counts) == learn_tree(features, labels)
+            got = tree_from_blocks(iter(blocks), n_factors, max_up, fraction, ("f",) * n_factors)
+        want = DecisionTree(learn_tree(features, labels).root, ("f",) * n_factors)
+        assert got == (want, int(labels.sum()), cut)
+        assert isinstance(got[1], int)
 
 
 class TestPredict:
