@@ -5,46 +5,35 @@ and clamp them to concentrate sampling on stressed markets."""
 import numpy as np
 
 from sbcn import (
-    DecisionTree,
-    Portfolio,
     ancestral_sample,
     fit_cpts,
     ground_truth_dag,
-    label_scenarios,
-    learn_tree,
     market_factor_spec,
-    risky_paths,
     simulate_dataset,
     stress_sample,
+    stress_tree,
 )
 
 spec = market_factor_spec(seed=20, positive_loadings=True)
 data = simulate_dataset(spec, 5000, seed=21)
 model = fit_cpts(data, ground_truth_dag(spec))
-stocks = list(range(5, 15))
 
-# 1000 ordinary draws; the bottom decile by portfolio up-count is "risky"
-scenarios = ancestral_sample(model, 1000, seed=22)
-portfolio = Portfolio(stocks)
-labels = label_scenarios(scenarios, portfolio, risky_fraction=0.10)
-print(f"labeled {labels.sum()} of {len(labels)} scenarios risky")
-
-tree = learn_tree(scenarios[:, :5], labels)
-tree = DecisionTree(tree.root, spec.factor_names)
+# 1000 ordinary draws; the bottom decile by portfolio up-count is "risky".
+# The factors are the lowest-rank nodes, the portfolio every other node.
+tree, n_risky, cut, paths = stress_tree(model, 1000, risky_fraction=0.10, seed=22)
+print(f"labeled {n_risky} of 1000 scenarios risky (up-count cut {cut})")
 print(tree.to_text())
 
-paths = risky_paths(tree)
+# each path is a {node index: value} assignment, ready to clamp
 print(f"{len(paths)} risky factor configuration(s); clamping the first\n")
-assignment = paths[0]
-
 free = ancestral_sample(model, 100, seed=23)
-stressed = stress_sample(model, assignment, 100, seed=23)
+stressed = stress_sample(model, paths[0], 100, seed=23)
 
 def histogram(draws, title):
-    ups = draws[:, stocks].sum(axis=1).astype(int)
-    counts = np.bincount(ups, minlength=11)
+    ups = draws[:, spec.n_factors:].sum(axis=1).astype(int)
+    counts = np.bincount(ups, minlength=spec.n_stocks + 1)
     print(title)
-    for k in range(11):
+    for k in range(spec.n_stocks + 1):
         print(f"  {k:2d} stocks up | {'#' * counts[k]}")
 
 histogram(free, "unconstrained sampling:")

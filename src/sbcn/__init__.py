@@ -22,6 +22,7 @@ from .classifier import (
     learn_tree,
     predict,
     risky_paths,
+    stress_tree,
     up_counts,
 )
 from .datagen import (

@@ -10,12 +10,14 @@ sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
-from .model import _distinct_rows, _dumps_indent2, _frozen, _json_object, _Value
+from .model import SbcnModel, _distinct_rows, _dumps_indent2, _frozen, _json_object, _Value
+from .sampling import _blocks, clamp
+from .seeds import derive_seed
 
 RISKY = "risky"
 PROFITABLE = "profitable"
@@ -36,6 +38,8 @@ class Portfolio(_Value):
         if self.weights.shape != (len(self.stock_indices),):
             raise ValueError("one weight per stock index required")
         for i, w in zip(self.stock_indices, self.weights.tolist()):
+            if i < 0:
+                raise ValueError(f"stock index {i} is negative")
             if not math.isfinite(w):
                 raise ValueError(f"weight of stock {i} is {w}; weights must be finite")
         if np.any(self.weights < 0):
@@ -137,7 +141,8 @@ class DecisionTree:
                                      f"{len(self.feature_names)} feature_names")
 
     def to_json(self) -> str:
-        obj = {"feature_names": list(self.feature_names), "root": _node_to_obj(self.root)}
+        # a node's fields, in order, are its JSON keys
+        obj = {"feature_names": list(self.feature_names), "root": asdict(self.root)}
         return _dumps_indent2(obj) + "\n"
 
     @classmethod
@@ -171,16 +176,6 @@ def _preorder(root: Union[Split, Leaf]):
         if isinstance(node, Split):
             stack.append((node.right, (*steps, (node.feature, 1))))
             stack.append((node.left, (*steps, (node.feature, 0))))
-
-
-def _node_to_obj(node):
-    if isinstance(node, Leaf):
-        return {"label": node.label, "counts": list(node.counts)}
-    return {
-        "feature": node.feature,
-        "left": _node_to_obj(node.left),
-        "right": _node_to_obj(node.right),
-    }
 
 
 #: The keys of a tree file and of its two kinds of node, with their types
@@ -311,6 +306,33 @@ def tree_from_blocks(blocks, n_factors: int, max_up: int, risky_fraction: float,
     # learn_tree's rows: the label in column 0, in the same code order
     rows, counts = _distinct_rows([labels, *patterns.T], len(labels), counts)
     return _grow_tree(rows, counts, feature_names), int(counts[rows[:, 0]].sum()), cut
+
+
+def stress_tree(model: SbcnModel, samples: int, risky_fraction: float,
+                seed: int) -> tuple[DecisionTree, int, float | None, list[dict[int, int]]]:
+    """Stress testing's first step: the tree of :func:`tree_from_blocks` on
+    ``samples`` draws of ``model`` (``seed``'s sub-stream 0) over its
+    lowest-rank nodes, up counts over the rest.  Returns ``(tree, risky
+    rows, cut, paths)``, each of :func:`risky_paths` as {node: value}."""
+    lowest = min(model.rank)
+    factors = [i for i, r in enumerate(model.rank) if r == lowest]
+    stocks = [i for i, r in enumerate(model.rank) if r != lowest]
+    if not stocks:
+        raise ValueError("model has no later-ranked stock variables to build a portfolio on")
+    # the weights are ones, so each up measure is an exact integer
+    portfolio = Portfolio(stocks)
+    blocks = _blocks(model, samples, derive_seed(seed, 0))
+    tree, n_risky, cut = tree_from_blocks(
+        ((block[factors], up_counts(block.T, portfolio)) for block in blocks),
+        len(factors), len(stocks), risky_fraction, tuple(model.names[i] for i in factors))
+    paths = [{factors[f]: v for f, v in path.items()} for path in risky_paths(tree)]
+    return tree, n_risky, cut, paths
+
+
+def stress_blocks(model: SbcnModel, assignment: Mapping[int, int], count: int, seed: int):
+    """Stress testing's second step: ``stress_sample(model, assignment, count,
+    derive_seed(seed, 1))`` as (rows, n) blocks, each overwritten by the next."""
+    return (block.T for block in _blocks(clamp(model, assignment), count, derive_seed(seed, 1)))
 
 
 # The largest (factor pattern, up count) table counted in one dense array.

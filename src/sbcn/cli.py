@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 from typing import get_type_hints
 
 from .bootstrap import edge_confidence, prune
-from .classifier import Portfolio, risky_paths, tree_from_blocks, up_counts
+from .classifier import stress_blocks, stress_tree
 from .datagen import GENERATOR_MODES, generate_instance
 from .evaluation import RATE_FIELDS, SweepConfig, arc_contingency, run_sweep
 from .learn import CRITERIA, LEARNERS, PENALTIES, LearnOptions, learn_model
@@ -25,8 +25,6 @@ from .model import (
     dag_from_json,
     dag_to_json,
 )
-from .sampling import _blocks, clamp
-from .seeds import derive_seed
 
 
 def _write(path: str, text: str) -> None:
@@ -127,14 +125,6 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _split_nodes(model: SbcnModel) -> tuple[list[int], list[int]]:
-    """Factor nodes (earliest rank) and stock nodes (all later ranks)."""
-    lowest = min(model.rank)
-    factors = [i for i, r in enumerate(model.rank) if r == lowest]
-    stocks = [i for i, r in enumerate(model.rank) if r != lowest]
-    return factors, stocks
-
-
 def _parse_clamp(text: str, model: SbcnModel) -> dict[int, int]:
     index = model.name_to_index()
     assignment: dict[int, int] = {}
@@ -157,25 +147,14 @@ def _parse_clamp(text: str, model: SbcnModel) -> dict[int, int]:
 
 
 def _cmd_stress(args) -> int:
-    """Sample, label and write one row block at a time: the tree sample is
-    kept only as counts of its distinct (factor pattern, up count) pairs,
-    and the scenarios are not kept at all.  The files are those of
-    ``scenarios_to_csv(stress_sample(...))`` and of a tree learned on a
-    materialised ``ancestral_sample``."""
+    """Write the tree of ``stress_tree`` and the rows of ``stress_blocks``."""
     model = SbcnModel.from_json(_read(args.model))
-    factors, stocks = _split_nodes(model)
     if args.clamp:
         assignment = _parse_clamp(args.clamp, model)
         _log(f"clamping {len(assignment)} variables from --clamp; classification skipped")
     else:
-        if not stocks:
-            raise ValueError("model has no later-ranked stock variables to build a portfolio on")
-        # the weights are ones, so each up measure is an exact integer
-        portfolio = Portfolio(stocks)
-        blocks = _blocks(model, args.samples_for_tree, derive_seed(args.seed, 0))
-        tree, n_risky, cut = tree_from_blocks(
-            ((block[factors], up_counts(block.T, portfolio)) for block in blocks),
-            len(factors), len(stocks), args.risky_fraction, tuple(model.names[i] for i in factors))
+        tree, n_risky, cut, paths = stress_tree(
+            model, args.samples_for_tree, args.risky_fraction, args.seed)
         _log(
             f"labeled {n_risky}/{args.samples_for_tree} scenarios risky "
             f"(up-count cut {'n/a' if cut is None else repr(cut)})"
@@ -183,7 +162,6 @@ def _cmd_stress(args) -> int:
         _log(tree.to_text().rstrip("\n"))
         if args.out_tree:
             _write(args.out_tree, tree.to_json())
-        paths = risky_paths(tree)
         if not paths:
             raise ValueError(
                 "no risky leaf derivable from the classification tree; "
@@ -191,18 +169,17 @@ def _cmd_stress(args) -> int:
             )
         if args.path_index >= len(paths):
             raise ValueError(f"--path-index {args.path_index} out of range; tree has {len(paths)} risky paths")
-        chosen = paths[args.path_index]
-        assignment = {factors[f]: v for f, v in chosen.items()}
+        assignment = paths[args.path_index]
         _log(
             "clamping risky path "
             + ", ".join(f"{model.names[i]}={v}" for i, v in sorted(assignment.items()))
         )
     head = _csv_head(model.names).encode("utf-8")
-    stressed = clamp(model, assignment)
+    blocks = stress_blocks(model, assignment, args.count, args.seed)
     with open(args.out_scenarios, "wb") as fh:
         fh.write(head)
-        for block in _blocks(stressed, args.count, derive_seed(args.seed, 1)):
-            fh.write(_csv_body(block.T))
+        for rows in blocks:
+            fh.write(_csv_body(rows))
     _log(f"wrote {args.count} stressed scenarios to {args.out_scenarios}")
     return 0
 
@@ -296,9 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # rules on two flags, checked before any input is read
     if args.command == "infer" and args.out_report and not args.bootstrap:
-        # a rule on two flags, checked before the data is read
         parser.error("--out-report requires --bootstrap > 0")
+    if args.command == "stress" and args.clamp and args.out_tree:
+        parser.error("--out-tree requires the tree, which --clamp skips")
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

@@ -56,8 +56,7 @@ class LearnOptions:
 
     ``criterion`` picks the regularization: "bic" penalizes complexity by
     ln(sample size), "aic" by a constant.  The "aic" score follows the
-    convention of weighting the log-likelihood by 1 rather than 2; set
-    ``aic_conventional`` for the textbook 2*LL - 2k form.
+    convention of weighting the log-likelihood by 1 rather than 2.
     ``penalty`` measures complexity as the arc count ("arcs", the default)
     or as the number of free CPT parameters ("parameters", which charges
     an arc more the larger the child's table it doubles, and so resists
@@ -71,7 +70,6 @@ class LearnOptions:
     restarts: int = 0
     smoothing: float = 1.0
     seed: int = 0
-    aic_conventional: bool = False
     penalty: str = "arcs"
 
     def __post_init__(self):
@@ -327,12 +325,10 @@ def log_likelihood(dataset: BinaryDataset, dag: Dag) -> float:
     return sum(table.node_ll(v, dag.parents(v)) for v in range(dag.n))
 
 
-def _score_weights(criterion: str, m: int, aic_conventional: bool) -> tuple[float, float]:
+def _score_weights(criterion: str, m: int) -> tuple[float, float]:
     """(log-likelihood weight, per-complexity-unit penalty)."""
     if criterion == "bic":
         return 2.0, float(np.log(m))
-    if aic_conventional:
-        return 2.0, 2.0
     return 1.0, 2.0
 
 
@@ -346,18 +342,16 @@ def regularized_score(
     dataset: BinaryDataset,
     dag: Dag,
     criterion: str = "bic",
-    aic_conventional: bool = False,
     penalty: str = "arcs",
 ) -> float:
     """Penalized likelihood score; higher is better.
 
-    bic: 2*LL - k*ln(m).  aic: LL - 2k (or 2*LL - 2k with
-    ``aic_conventional``).  k is the arc count, or the free-parameter
-    count with ``penalty="parameters"``.
+    bic: 2*LL - k*ln(m).  aic: LL - 2k.  k is the arc count, or the
+    free-parameter count with ``penalty="parameters"``.
     """
     _check_choice("criterion", criterion, CRITERIA)
     _check_choice("penalty", penalty, PENALTIES)
-    w, unit = _score_weights(criterion, dataset.m, aic_conventional)
+    w, unit = _score_weights(criterion, dataset.m)
     k = sum(_node_cost(len(dag.parents(v)), penalty) for v in range(dag.n))
     return w * log_likelihood(dataset, dag) - unit * k
 
@@ -435,7 +429,7 @@ def _climb_once(
     decision, only the work spent on each.
     """
     m, n = table.m, table.n
-    w, unit = _score_weights(options.criterion, m, options.aic_conventional)
+    w, unit = _score_weights(options.criterion, m)
     penalty = options.penalty
 
     # the climb's one score lookup, so a table that overrides node_ll sees

@@ -559,8 +559,8 @@ def _dag(n, edges, names=None, expect=None) -> Dag:
 
 def _part_problems(model: SbcnModel) -> list[str]:
     """The invariants across a model's parts: a CPT for each node, with the
-    structure's parents, one rank and one name per node, and confidences
-    in [0, 1] on arcs of the structure only."""
+    structure's parents, one rank and one distinct name per node, and
+    confidences in [0, 1] on arcs of the structure only."""
     problems: list[str] = []
     n = model.dag.n
     nodes = [c.node for c in model.cpts]
@@ -581,6 +581,10 @@ def _part_problems(model: SbcnModel) -> list[str]:
         problems.append(f"rank has {len(model.rank)} entries, expected {n}")
     if len(model.names) != n:
         problems.append(f"names has {len(model.names)} entries, expected {n}")
+    first: dict[str, int] = {}
+    for i, name in enumerate(model.names):
+        if first.setdefault(name, i) != i:
+            problems.append(f"duplicate name {name!r} at nodes {first[name]} and {i}")
     if model.confidence is not None:
         stray = set(model.confidence) - set(model.dag.edges)
         for u, v in sorted(stray):

@@ -192,7 +192,7 @@ def climb_once_oracle(table, candidates, options, seed):
     a rejected pick is proposed and scored again, every repeat of a
     cycle-closing pick is checked by DFS again."""
     m, n = table.x.shape
-    w, unit = _score_weights(options.criterion, m, options.aic_conventional)
+    w, unit = _score_weights(options.criterion, m)
     penalty = options.penalty
 
     parents = [() for _ in range(n)]

@@ -47,6 +47,9 @@ class TestPortfolio:
             Portfolio([0, 1], [-1.0, 2.0])
         with pytest.raises(ValueError):
             Portfolio([0, 1], [0.0, 0.0])
+        # up_counts would read a column from the end
+        with pytest.raises(ValueError, match="^stock index -1 is negative$"):
+            Portfolio([-1, 0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_weight_names_the_stock(self, bad):

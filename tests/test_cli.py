@@ -435,6 +435,16 @@ class TestStress:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_tree_with_clamp_usage_error(self, tmp_path, capsys):
+        # --clamp grows no tree; the rule fails before the model is read
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["stress", "--model", tmp_path / "absent.json", "--clamp", "Km=0",
+                 "--out-scenarios", out, "--out-tree", tmp_path / "t.json"])
+        assert exc.value.code == 2
+        assert "--out-tree requires the tree, which --clamp skips" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path, model_file):
         args = ["stress", "--model", model_file, "--count", 20, "--seed", 8,
                 "--out-scenarios", tmp_path / "s.csv", "--out-tree", tmp_path / "t.json"]
@@ -448,10 +458,10 @@ B = _BLOCK_ROWS
 COUNTS = [0, 1, B - 1, B, B + 1, 2 * B + 1]
 
 
-def in_memory_stress(model, seed, samples_for_tree, count, risky_fraction=0.1):
-    """The tree JSON and scenario CSV of `stress` at the default path index,
-    from whole sample matrices; the CSV is None when the tree has no risky
-    leaf."""
+def in_memory_stress(model, seed, samples_for_tree, count, risky_fraction=0.1, path_index=0):
+    """The tree JSON and scenario CSV of `stress` at a path index, from whole
+    sample matrices; the CSV is None when the tree has no risky path of that
+    index."""
     lowest = min(model.rank)
     factors = [i for i, r in enumerate(model.rank) if r == lowest]
     stocks = [i for i, r in enumerate(model.rank) if r != lowest]
@@ -460,9 +470,9 @@ def in_memory_stress(model, seed, samples_for_tree, count, risky_fraction=0.1):
     tree = learn_tree(scenarios[:, factors], labels)
     tree = DecisionTree(tree.root, tuple(model.names[i] for i in factors))
     paths = risky_paths(tree)
-    if not paths:
+    if path_index >= len(paths):
         return tree.to_json(), None
-    assignment = {factors[f]: v for f, v in paths[0].items()}
+    assignment = {factors[f]: v for f, v in paths[path_index].items()}
     stressed = stress_sample(model, assignment, count, derive_seed(seed, 1))
     return tree.to_json(), scenarios_to_csv(stressed, model.names)
 
@@ -491,6 +501,28 @@ class TestStressStream:
         expected_tree, expected_csv = in_memory_stress(model, 5, samples, count)
         assert read(tree) == expected_tree
         assert out.read_bytes() == expected_csv.encode()
+
+    def test_tree_path_equals_in_memory_at_path_index(self, tmp_path):
+        # the stocks come first, so factor f of the tree is node 10 + f: a
+        # path clamped by feature index, not node index, clamps stocks
+        spec = market_factor_spec(seed=3, positive_loadings=True)
+        data = simulate_dataset(spec, 3000, seed=4)
+        order = [*range(5, 15), *range(5)]
+        where = {node: i for i, node in enumerate(order)}
+        data = BinaryDataset(data.values[:, order], [data.names[i] for i in order],
+                             [data.rank[i] for i in order])
+        dag = Dag(15, [(where[u], where[v]) for u, v in ground_truth_dag(spec).edges])
+        model = fit_cpts(data, dag)
+        path, out, tree = tmp_path / "m.json", tmp_path / "s.csv", tmp_path / "t.json"
+        path.write_text(model.to_json())
+        assert run(["stress", "--model", path, "--samples-for-tree", B + 1, "--risky-fraction", 0.3,
+                    "--path-index", 1, "--count", B + 1, "--seed", 5, "--out-scenarios", out,
+                    "--out-tree", tree]) == 0
+        expected_tree, expected_csv = in_memory_stress(model, 5, B + 1, B + 1, 0.3, path_index=1)
+        assert read(tree) == expected_tree
+        assert expected_csv is not None and out.read_bytes() == expected_csv.encode()
+        # path 1 differs from path 0 on the factors it clamps
+        assert in_memory_stress(model, 5, B + 1, B + 1, 0.3)[1] != expected_csv
 
     @pytest.mark.parametrize("n_factors, n_stocks, p", [
         (12, 20, 0.3),  # 4096 patterns x 21 up counts: past the dense table

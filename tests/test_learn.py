@@ -223,13 +223,6 @@ class TestRegularizedScore:
             log_likelihood(ds, dag) - 2
         )
 
-    def test_aic_conventional_form(self):
-        ds = dataset([[1, 0], [0, 1], [1, 1], [0, 0]])
-        dag = Dag(2, [(0, 1)])
-        assert regularized_score(ds, dag, "aic", aic_conventional=True) == pytest.approx(
-            2 * log_likelihood(ds, dag) - 2
-        )
-
     def test_parameter_penalty_charges_table_size(self):
         rng = np.random.default_rng(11)
         values = rng.integers(0, 2, size=(100, 3))
@@ -682,11 +675,9 @@ class TestClimbOracle:
         max_iterations=st.sampled_from([1, 5, 2000]),
         criterion=st.sampled_from(CRITERIA),
         penalty=st.sampled_from(PENALTIES),
-        aic_conventional=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_oracle(self, m, n, arc_share, max_iterations, criterion, penalty,
-                           aic_conventional, seed):
+    def test_equals_oracle(self, m, n, arc_share, max_iterations, criterion, penalty, seed):
         rng = np.random.default_rng(seed)
         # each column copies an earlier one with noise, so arcs pay off
         values = rng.integers(0, 2, size=(m, n))
@@ -700,7 +691,6 @@ class TestClimbOracle:
         options = LearnOptions(
             criterion=criterion,
             penalty=penalty,
-            aic_conventional=aic_conventional,
             max_iterations=max_iterations,
         )
         got = _climb_once(_ScoreTable(ds), candidates, options, seed)
@@ -878,7 +868,7 @@ class TestLookupsPerState:
         child.  After the first n lookups (the empty parent sets), each
         lookup scores one toggle at its child, accepted iff it raises the
         score.  Returns the final arcs and the number of accepted removals."""
-        w, unit = _score_weights(options.criterion, table.m, options.aic_conventional)
+        w, unit = _score_weights(options.criterion, table.m)
         n = table.n
         assert [(v, p) for v, p, _ in table.log[:n]] == [(v, ()) for v in range(n)]
         parents = [()] * n

@@ -272,6 +272,15 @@ class TestValidateModel:
         with pytest.raises(ValueError, match=f"^invalid model: {problem}$"):
             SbcnModel(Dag(2, [(0, 1)]), cpts, rank, names=names)
 
+    def test_repeated_name_names_both_nodes(self):
+        # a repeated name makes --clamp pick one node of the two, and the
+        # scenario CSV written with it does not read back
+        with pytest.raises(ValueError, match=r"^invalid model: duplicate name 'Km' at nodes 0 and 2$"):
+            make_model(3, [(0, 1)], names=["Km", "SMB", "Km"])
+        text = make_model(2, [], names=["Km", "SMB"]).to_json().replace('"SMB"', '"Km"')
+        with pytest.raises(ModelSchemaError, match=r"^invalid model: duplicate name 'Km' at nodes 0 and 1$"):
+            SbcnModel.from_json(text)
+
     def test_confidence_for_absent_edge_reported(self):
         dag = Dag(2, [(0, 1)])
         with pytest.raises(ValueError, match="absent edge"):
@@ -476,14 +485,17 @@ class TestPublicNames:
         ("learn_tree", "max_depth", None), ("learn_tree", "min_leaf", 5), ("learn_tree", "min_gain", None),
         ("LearnOptions", "tp_mode", "rank"), ("prima_facie_edges", "tp_mode", "rank"),
         ("binarize", "threshold_mode", "median"), ("simulate_dataset", "threshold_mode", "median"),
+        ("LearnOptions", "aic_conventional", False), ("regularized_score", "aic_conventional", False),
     ])
     def test_removed_settings_are_gone(self, name, keyword, value):
         # the rank is the one temporal-priority test and the median the one
         # binarization threshold; the tree's depth, leaf size and gain floor
-        # are fixed.  Each keyword, even at its old default, is a TypeError.
+        # are fixed; the "aic" score has one form, LL - 2k.  Each keyword,
+        # even at its old default, is a TypeError.
         args = {"learn_tree": (np.zeros((5, 2)), np.zeros(5, dtype=bool)), "LearnOptions": (),
                 "prima_facie_edges": (BinaryDataset([[0, 1], [1, 0]], ["a", "b"], [0, 0]),),
                 "binarize": (RealSeries(np.zeros((2, 1)), ["x"]),),
-                "simulate_dataset": (market_factor_spec(seed=0), 10, 0)}[name]
+                "simulate_dataset": (market_factor_spec(seed=0), 10, 0),
+                "regularized_score": (BinaryDataset([[0, 1], [1, 0]], ["a", "b"], [0, 0]), Dag(2), "aic")}[name]
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'$"):
             getattr(sbcn, name)(*args, **{keyword: value})
