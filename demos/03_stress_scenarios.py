@@ -12,6 +12,7 @@ from sbcn import (
     simulate_dataset,
     stress_sample,
     stress_tree,
+    up_counts,
 )
 
 spec = market_factor_spec(seed=20, positive_loadings=True)
@@ -30,7 +31,7 @@ free = ancestral_sample(model, 100, seed=23)
 stressed = stress_sample(model, paths[0], 100, seed=23)
 
 def histogram(draws, title):
-    ups = draws[:, spec.n_factors:].sum(axis=1).astype(int)
+    ups = up_counts(draws, range(spec.n_factors, spec.n))
     counts = np.bincount(ups, minlength=spec.n_stocks + 1)
     print(title)
     for k in range(spec.n_stocks + 1):

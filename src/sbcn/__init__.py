@@ -15,7 +15,6 @@ from .classifier import (
     RISKY,
     DecisionTree,
     Leaf,
-    Portfolio,
     Split,
     label_measure,
     label_scenarios,

@@ -1,9 +1,9 @@
 """Scenario risk labeling and decision-tree extraction of risky paths.
 
-Scenarios are scored by how much of the portfolio moves up; the bottom
-quantile is labeled risky.  A binary classification tree over the factor
-variables then turns the labels into explicit factor configurations (the
-root-to-leaf paths of risky leaves) that can be clamped for stress
+Scenarios are scored by how many of the portfolio's stocks move up; the
+bottom quantile is labeled risky.  A binary classification tree over the
+factor variables then turns the labels into explicit factor configurations
+(the root-to-leaf paths of risky leaves) that can be clamped for stress
 sampling.
 """
 
@@ -15,7 +15,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .model import SbcnModel, _distinct_rows, _dumps_indent2, _frozen, _json_object, _Value
+from .model import SbcnModel, _distinct_rows, _dumps_indent2, _json_object
 from .sampling import _blocks, clamp
 from .seeds import derive_seed
 
@@ -23,41 +23,23 @@ RISKY = "risky"
 PROFITABLE = "profitable"
 
 
-@dataclass(frozen=True, eq=False)
-class Portfolio(_Value):
-    """Long-only holdings: a weight per stock column of the scenario matrix."""
-
-    stock_indices: tuple[int, ...]
-    weights: np.ndarray
-
-    def __init__(self, stock_indices, weights=None):
-        object.__setattr__(self, "stock_indices", tuple(int(i) for i in stock_indices))
-        if weights is None:
-            weights = np.ones(len(self.stock_indices))
-        object.__setattr__(self, "weights", _frozen(weights))
-        if self.weights.shape != (len(self.stock_indices),):
-            raise ValueError("one weight per stock index required")
-        for i, w in zip(self.stock_indices, self.weights.tolist()):
-            if i < 0:
-                raise ValueError(f"stock index {i} is negative")
-            if not math.isfinite(w):
-                raise ValueError(f"weight of stock {i} is {w}; weights must be finite")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if self.weights.sum() <= 0:
-            raise ValueError("weights must sum to a positive amount")
-
-
-def up_counts(scenarios: np.ndarray, portfolio: Portfolio) -> np.ndarray:
-    """Total weight of the portfolio stocks that are up, per row of a 2-D
-    scenario matrix that covers every portfolio stock column."""
+def up_counts(scenarios: np.ndarray, stocks) -> np.ndarray:
+    """The number of ``stocks`` (column indices, each once) that are up,
+    as int64, per row of a 2-D scenario matrix that covers them all."""
     scenarios = np.asarray(scenarios)
     if scenarios.ndim != 2:
         raise ValueError(f"up_counts takes a 2-D scenario matrix, got {scenarios.ndim}-D")
-    top = max(portfolio.stock_indices, default=-1)
-    if top >= scenarios.shape[1]:
-        raise ValueError(f"scenarios have {scenarios.shape[1]} columns, too few for portfolio stock {top}")
-    return scenarios[:, list(portfolio.stock_indices)].astype(np.float64) @ portfolio.weights
+    stocks = [int(i) for i in stocks]
+    seen = set()
+    for i in stocks:
+        if i < 0:
+            raise ValueError(f"stock index {i} is negative")
+        if i >= scenarios.shape[1]:
+            raise ValueError(f"scenarios have {scenarios.shape[1]} columns, too few for portfolio stock {i}")
+        if i in seen:
+            raise ValueError(f"stock index {i} is repeated")
+        seen.add(i)
+    return scenarios[:, stocks].sum(axis=1, dtype=np.int64)
 
 
 def label_measure(
@@ -86,12 +68,10 @@ def _cut(risky_fraction: float, count: int, kth) -> float | None:
     return None if k == 0 else float(kth(k))
 
 
-def label_scenarios(
-    scenarios: np.ndarray, portfolio: Portfolio, risky_fraction: float = 0.10
-) -> np.ndarray:
-    """Boolean labels, True = risky, for the bottom quantile by up measure
-    (see :func:`label_measure`)."""
-    return label_measure(up_counts(scenarios, portfolio), risky_fraction)[0]
+def label_scenarios(scenarios: np.ndarray, stocks, risky_fraction: float = 0.10) -> np.ndarray:
+    """Boolean labels, True = risky, for the bottom quantile by the up count
+    of ``stocks`` (see :func:`up_counts` and :func:`label_measure`)."""
+    return label_measure(up_counts(scenarios, stocks), risky_fraction)[0]
 
 
 @dataclass(frozen=True)
@@ -314,16 +294,14 @@ def stress_tree(model: SbcnModel, samples: int, risky_fraction: float,
     ``samples`` draws of ``model`` (``seed``'s sub-stream 0) over its
     lowest-rank nodes, up counts over the rest.  Returns ``(tree, risky
     rows, cut, paths)``, each of :func:`risky_paths` as {node: value}."""
-    lowest = min(model.rank)
+    lowest = min(model.rank, default=0)
     factors = [i for i, r in enumerate(model.rank) if r == lowest]
     stocks = [i for i, r in enumerate(model.rank) if r != lowest]
     if not stocks:
         raise ValueError("model has no later-ranked stock variables to build a portfolio on")
-    # the weights are ones, so each up measure is an exact integer
-    portfolio = Portfolio(stocks)
     blocks = _blocks(model, samples, derive_seed(seed, 0))
     tree, n_risky, cut = tree_from_blocks(
-        ((block[factors], up_counts(block.T, portfolio)) for block in blocks),
+        ((block[factors], up_counts(block.T, stocks)) for block in blocks),
         len(factors), len(stocks), risky_fraction, tuple(model.names[i] for i in factors))
     paths = [{factors[f]: v for f, v in path.items()} for path in risky_paths(tree)]
     return tree, n_risky, cut, paths

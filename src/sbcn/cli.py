@@ -173,6 +173,7 @@ def _cmd_stress(args) -> int:
         _log(
             "clamping risky path "
             + ", ".join(f"{model.names[i]}={v}" for i, v in sorted(assignment.items()))
+            if assignment else "the root leaf is risky, so no factor is clamped"
         )
     head = _csv_head(model.names).encode("utf-8")
     blocks = stress_blocks(model, assignment, args.count, args.seed)

@@ -69,6 +69,12 @@ class SweepConfig:
             raise ModelSchemaError(str(exc)) from None
         if any(size < 1 for size in self.sample_sizes):
             raise ModelSchemaError(f"sample_sizes entries must be >= 1, got {list(self.sample_sizes)}")
+        # a repeated entry would run its cells again, on the same seeds
+        for key in ("sample_sizes", "criteria", "bootstrap", "learners"):
+            entries = getattr(self, key)
+            for i, value in enumerate(entries):
+                if value in entries[:i]:
+                    raise ModelSchemaError(f"{key} entries must be distinct, got {value!r} twice")
         if self.repetitions < 1:
             raise ModelSchemaError("repetitions must be >= 1")
         if self.bootstrap_replicates < 1:

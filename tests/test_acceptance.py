@@ -28,7 +28,7 @@ from oracles import (
     tiny_linear_dataset,
 )
 from sbcn.bootstrap import edge_confidence, prune
-from sbcn.classifier import Portfolio, label_scenarios, learn_tree, risky_paths
+from sbcn.classifier import label_scenarios, learn_tree, risky_paths
 from sbcn.cli import main as cli_main
 from sbcn.datagen import (
     ground_truth_dag,
@@ -194,8 +194,7 @@ def test_criterion_6_tree_recovers_factors_down_path():
     for seed in range(100):
         model = _truth_fitted_model(derive_seed(666, seed))
         scenarios = ancestral_sample(model, 1000, derive_seed(666, seed, 2))
-        portfolio = Portfolio(range(5, 15))
-        labels = label_scenarios(scenarios, portfolio, 0.10)
+        labels = label_scenarios(scenarios, range(5, 15), 0.10)
         tree = learn_tree(scenarios[:, :5], labels)
         paths = risky_paths(tree)
         if any(sum(1 for v in p.values() if v == 0) >= 4 for p in paths):

@@ -13,7 +13,6 @@ from sbcn.classifier import (
     RISKY,
     DecisionTree,
     Leaf,
-    Portfolio,
     Split,
     label_measure,
     label_scenarios,
@@ -35,88 +34,69 @@ def scenarios_with_factor_rule(rng, count=1000, n_factors=5, n_stocks=10):
     return np.hstack([factors, stocks]).astype(np.uint8)
 
 
-class TestPortfolio:
-    def test_default_equal_weights(self):
-        port = Portfolio(range(5, 15))
-        assert port.weights.tolist() == [1.0] * 10
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            Portfolio([0, 1], [1.0])
-        with pytest.raises(ValueError):
-            Portfolio([0, 1], [-1.0, 2.0])
-        with pytest.raises(ValueError):
-            Portfolio([0, 1], [0.0, 0.0])
-        # up_counts would read a column from the end
-        with pytest.raises(ValueError, match="^stock index -1 is negative$"):
-            Portfolio([-1, 0])
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_weight_names_the_stock(self, bad):
-        with pytest.raises(ValueError, match=f"weight of stock 7 is {bad}; weights must be finite"):
-            Portfolio([3, 7], [1.0, bad])
-
-
 class TestUpCount:
     def test_all_up_equals_total_weight(self):
-        port = Portfolio(range(5, 15))
         scenario = np.ones(15, dtype=np.uint8)
-        assert up_counts(scenario[None], port)[0] == 10.0
+        assert up_counts(scenario[None], range(5, 15))[0] == 10
 
     def test_all_down_zero(self):
-        port = Portfolio(range(5, 15))
-        assert up_counts(np.zeros((1, 15), dtype=np.uint8), port)[0] == 0.0
-
-    def test_weighted(self):
-        port = Portfolio([2, 3], [0.25, 0.75])
-        assert up_counts(np.array([[0, 0, 1, 0]]), port)[0] == 0.25
+        assert up_counts(np.zeros((1, 15), dtype=np.uint8), range(5, 15))[0] == 0
 
     def test_scenario_must_cover_stocks(self):
-        port = Portfolio([4])
         with pytest.raises(ValueError, match="^scenarios have 3 columns, too few for portfolio stock 4$"):
-            up_counts(np.zeros((1, 3), dtype=np.uint8), port)
+            up_counts(np.zeros((1, 3), dtype=np.uint8), [4])
 
     def test_scenarios_must_be_a_matrix(self):
         with pytest.raises(ValueError, match="^up_counts takes a 2-D scenario matrix, got 1-D$"):
-            up_counts(np.zeros(5, dtype=np.uint8), Portfolio([4]))
+            up_counts(np.zeros(5, dtype=np.uint8), [4])
+
+    def test_negative_index_rejected(self):
+        # it would read a column from the end
+        with pytest.raises(ValueError, match="^stock index -1 is negative$"):
+            up_counts(np.zeros((1, 3), dtype=np.uint8), [-1, 0])
+
+    def test_repeated_index_rejected(self):
+        # it would count one up stock once per repeat
+        with pytest.raises(ValueError, match="^stock index 1 is repeated$"):
+            up_counts(np.array([[0, 1], [1, 0]], dtype=np.uint8), [1, 1])
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
         scen = rng.integers(0, 2, size=(50, 8)).astype(np.uint8)
-        port = Portfolio([1, 4, 6], [1.0, 2.0, 0.5])
-        batch = up_counts(scen, port)
+        batch = up_counts(scen, [1, 4, 6])
+        assert batch.dtype == np.int64
         for i in range(50):
-            expected = 1.0 * scen[i, 1] + 2.0 * scen[i, 4] + 0.5 * scen[i, 6]
-            assert batch[i] == up_counts(scen[i][None], port)[0] == expected
+            expected = int(scen[i, 1]) + int(scen[i, 4]) + int(scen[i, 6])
+            assert batch[i] == up_counts(scen[i][None], [1, 4, 6])[0] == expected
 
 
 class TestLabelScenarios:
     def test_bottom_decile_of_thousand(self):
         rng = np.random.default_rng(1)
         scen = scenarios_with_factor_rule(rng)
-        labels = label_scenarios(scen, Portfolio(range(5, 15)), 0.10)
+        labels = label_scenarios(scen, range(5, 15), 0.10)
         assert labels.sum() >= 100
 
     def test_identical_scenarios_all_risky(self):
         scen = np.tile(np.array([1, 0, 1], dtype=np.uint8), (30, 1))
-        labels = label_scenarios(scen, Portfolio([1, 2]), 0.10)
+        labels = label_scenarios(scen, [1, 2], 0.10)
         assert labels.all()
 
     def test_zero_fraction_no_risky(self):
         rng = np.random.default_rng(2)
         scen = rng.integers(0, 2, size=(40, 4)).astype(np.uint8)
-        labels = label_scenarios(scen, Portfolio([2, 3]), 0.0)
+        labels = label_scenarios(scen, [2, 3], 0.0)
         assert not labels.any()
 
     def test_ties_at_cut_included(self):
         # up counts: [0, 0, 1, 2]; 25% quantile cut lands on 0, both zeros risky
         scen = np.array([[0, 0], [0, 0], [1, 0], [1, 1]], dtype=np.uint8)
-        labels = label_scenarios(scen, Portfolio([0, 1]), 0.25)
+        labels = label_scenarios(scen, [0, 1], 0.25)
         assert labels.tolist() == [True, True, False, False]
 
     def test_implied_cut(self):
         scen = np.array([[0, 0], [1, 0], [1, 1], [1, 1]], dtype=np.uint8)
-        measure = up_counts(scen, Portfolio([0, 1]))
+        measure = up_counts(scen, [0, 1])
         assert label_measure(measure, 0.25)[1] == 0.0
         assert label_measure(measure, 0.0)[1] is None
 
@@ -180,7 +160,7 @@ class TestLearnTree:
     def test_row_order_invariant(self):
         rng = np.random.default_rng(7)
         scen = scenarios_with_factor_rule(rng, count=400)
-        labels = label_scenarios(scen, Portfolio(range(5, 15)), 0.10)
+        labels = label_scenarios(scen, range(5, 15), 0.10)
         features = scen[:, :5]
         tree_a = learn_tree(features, labels)
         perm = rng.permutation(400)
@@ -190,7 +170,7 @@ class TestLearnTree:
     def test_resubstitution_consistency(self):
         rng = np.random.default_rng(8)
         scen = scenarios_with_factor_rule(rng, count=600)
-        labels = label_scenarios(scen, Portfolio(range(5, 15)), 0.10)
+        labels = label_scenarios(scen, range(5, 15), 0.10)
         features = scen[:, :5]
         tree = learn_tree(features, labels)
 
@@ -267,11 +247,10 @@ class TestLabelMeasure:
     def test_matches_label_scenarios_and_cut(self):
         rng = np.random.default_rng(11)
         scen = scenarios_with_factor_rule(rng, count=777)
-        port = Portfolio(range(5, 15), rng.random(10))
-        measure = up_counts(scen, port)
+        measure = up_counts(scen, range(5, 15))
         for fraction in (0.0, 0.05, 0.1, 0.5, 1.0):
             labels, cut = label_measure(measure, fraction)
-            assert np.array_equal(labels, label_scenarios(scen, port, fraction))
+            assert np.array_equal(labels, label_scenarios(scen, range(5, 15), fraction))
             k = math.ceil(fraction * len(measure))
             assert cut == (None if k == 0 else np.sort(measure)[k - 1])
             if cut is not None:
@@ -356,7 +335,7 @@ class TestRiskyPaths:
     def test_paths_predict_risky(self):
         rng = np.random.default_rng(9)
         scen = scenarios_with_factor_rule(rng)
-        labels = label_scenarios(scen, Portfolio(range(5, 15)), 0.10)
+        labels = label_scenarios(scen, range(5, 15), 0.10)
         tree = learn_tree(scen[:, :5], labels)
         for path in risky_paths(tree):
             assert predict(tree, path) == RISKY
@@ -366,7 +345,7 @@ class TestTreeSerialization:
     def test_json_round_trip(self):
         rng = np.random.default_rng(10)
         scen = scenarios_with_factor_rule(rng)
-        labels = label_scenarios(scen, Portfolio(range(5, 15)), 0.10)
+        labels = label_scenarios(scen, range(5, 15), 0.10)
         tree = learn_tree(scen[:, :5], labels)
         tree = DecisionTree(tree.root, ("Km", "SMB", "HML", "RMW", "CMA"))
         back = DecisionTree.from_json(tree.to_json())

@@ -11,7 +11,6 @@ import pytest
 from sbcn.bootstrap import BootstrapReport
 from sbcn.classifier import (
     DecisionTree,
-    Portfolio,
     label_measure,
     learn_tree,
     risky_paths,
@@ -402,6 +401,21 @@ class TestStress:
         assert run(["stress", "--model", model_file, "--risky-fraction", 0,
                     "--count", 5, "--out-scenarios", tmp_path / "s.csv"]) == 1
 
+    def test_model_without_nodes_names_the_problem(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(SbcnModel(Dag(0), [], []).to_json())
+        assert run(["stress", "--model", path, "--count", 5,
+                    "--out-scenarios", tmp_path / "s.csv"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: model has no later-ranked stock variables to build a portfolio on")
+
+    def test_risky_root_leaf_logs_that_nothing_is_clamped(self, tmp_path, capsys, model_file):
+        assert run(["stress", "--model", model_file, "--risky-fraction", 1.0,
+                    "--count", 5, "--out-scenarios", tmp_path / "s.csv"]) == 0
+        log = capsys.readouterr().err.splitlines()
+        assert "the root leaf is risky, so no factor is clamped" in log
+        assert not any(line.startswith("clamping risky path") for line in log)
+
     def test_path_index_out_of_range(self, tmp_path, model_file):
         assert run(["stress", "--model", model_file, "--path-index", 99,
                     "--count", 5, "--out-scenarios", tmp_path / "s.csv"]) == 1
@@ -466,7 +480,7 @@ def in_memory_stress(model, seed, samples_for_tree, count, risky_fraction=0.1, p
     factors = [i for i, r in enumerate(model.rank) if r == lowest]
     stocks = [i for i, r in enumerate(model.rank) if r != lowest]
     scenarios = ancestral_sample(model, samples_for_tree, derive_seed(seed, 0))
-    labels, _ = label_measure(up_counts(scenarios, Portfolio(stocks)), risky_fraction)
+    labels, _ = label_measure(up_counts(scenarios, stocks), risky_fraction)
     tree = learn_tree(scenarios[:, factors], labels)
     tree = DecisionTree(tree.root, tuple(model.names[i] for i in factors))
     paths = risky_paths(tree)

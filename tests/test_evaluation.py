@@ -145,6 +145,18 @@ class TestSweepConfig:
         with pytest.raises(ModelSchemaError, match=r"^sample_sizes entries must be >= 1"):
             tiny_config(sample_sizes=sizes)
 
+    @pytest.mark.parametrize("key, entries, message", [
+        ("sample_sizes", [60, 80, 60], "sample_sizes entries must be distinct, got 60 twice"),
+        ("criteria", ["bic", "bic"], "criteria entries must be distinct, got 'bic' twice"),
+        ("bootstrap", [True, False, True], "bootstrap entries must be distinct, got True twice"),
+        ("learners", ["bn", "bn"], "learners entries must be distinct, got 'bn' twice"),
+    ], ids=["sample_sizes", "criteria", "bootstrap", "learners"])
+    def test_repeated_entry_checked_when_parsed(self, key, entries, message):
+        # a repeated entry would run its cells again, so it fails before any worker starts
+        with pytest.raises(ModelSchemaError) as exc:
+            tiny_config(**{key: entries})
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("key, value", [
         ("max_iterations", "many"),
         ("restarts", None),

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sbcn
-from sbcn.classifier import Portfolio
 from sbcn.datagen import FactorModelSpec, RealSeries, market_factor_spec
 from sbcn.learn import EdgeSet
 from sbcn.model import (
@@ -386,10 +385,6 @@ VALUE_TYPES = {
             "confidence": {(0, 1): 0.8},
             "names": ("a", "c"),
         },
-    ),
-    "Portfolio": (
-        lambda: Portfolio([1, 3], [1.0, 2.0]),
-        {"stock_indices": (1, 4), "weights": ONE_CELL},
     ),
     "RealSeries": (
         lambda: RealSeries([[0.5, -1.0], [2.0, 0.25]], ["f", "p"], n_factors=1),
