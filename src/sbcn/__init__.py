@@ -19,7 +19,6 @@ from .classifier import (
     label_measure,
     label_scenarios,
     learn_tree,
-    predict,
     risky_paths,
     stress_tree,
     up_counts,

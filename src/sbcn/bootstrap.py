@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .learn import LearnOptions, fit_cpts, learn_structure
-from .model import BinaryDataset, Dag, SbcnModel, _dumps_indent2, _json_object
+from .model import BinaryDataset, Dag, SbcnModel, _by_arc, _dumps_indent2, _json_object
 from .seeds import derive_seed
 
 
@@ -46,7 +46,7 @@ class BootstrapReport:
     @classmethod
     def from_json(cls, text: str) -> "BootstrapReport":
         def build(replicates, threshold, confidence):
-            return cls(replicates, {(u, v): c for u, v, c in confidence}, threshold)
+            return cls(replicates, _by_arc("confidence", confidence), threshold)
         return _json_object(text, "bootstrap report", _REPORT_KEYS, build=build)
 
 
@@ -62,17 +62,16 @@ def resample(dataset: BinaryDataset, seed: int) -> BinaryDataset:
 
 
 def _fan_out(fn, tasks: list, threads: int | None) -> list:
-    """``[fn(t) for t in tasks]``: serially when ``threads`` <= 1, otherwise
-    on that many worker processes (0 or None uses all cores, so a 1-core
-    host runs serially), one task at a time per worker.  Results come back
-    in task order either way."""
-    threads = threads or os.cpu_count() or 1
-    if threads <= 1:
+    """``[fn(t) for t in tasks]``, in task order, on at most ``threads`` worker processes
+    (0 or None uses all cores) and one per task, since a pool forks all its workers at
+    its first submit; serially when that is one.  Each worker takes one task at a time."""
+    workers = min(threads or os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     # imported here so that serial runs do not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 
 

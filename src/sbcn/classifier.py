@@ -3,8 +3,8 @@
 Scenarios are scored by how many of the portfolio's stocks move up; the
 bottom quantile is labeled risky.  A binary classification tree over the
 factor variables then turns the labels into explicit factor configurations
-(the root-to-leaf paths of risky leaves) that can be clamped for stress
-sampling.
+to clamp for stress sampling: ``risky_paths``, the root-to-leaf paths of
+its risky leaves.  The tree labels no new scenario.
 """
 
 from __future__ import annotations
@@ -367,28 +367,6 @@ def _merged(held):
     columns = [np.concatenate([rows[:, j] for rows, _ in held]) for j in range(held[0][0].shape[1])]
     counts = np.concatenate([counts for _, counts in held])
     return _distinct_rows(columns, len(counts), counts)
-
-
-def predict(tree: DecisionTree, factor_assignment) -> str:
-    """Label for an assignment covering every factor on the traversed path.
-
-    Accepts a mapping from feature index to 0/1 or a full feature vector.
-    """
-    if isinstance(factor_assignment, Mapping):
-        getter = factor_assignment
-    else:
-        getter = {i: v for i, v in enumerate(np.asarray(factor_assignment).ravel())}
-    node = tree.root
-    while isinstance(node, Split):
-        if node.feature not in getter:
-            name = (
-                tree.feature_names[node.feature]
-                if node.feature < len(tree.feature_names)
-                else f"feature {node.feature}"
-            )
-            raise ValueError(f"assignment is missing a value for {name}")
-        node = node.right if getter[node.feature] else node.left
-    return node.label
 
 
 def risky_paths(tree: DecisionTree) -> list[dict[int, int]]:

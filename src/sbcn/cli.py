@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-report", help="bootstrap confidence JSON to write")
     p.add_argument("--threads", type=_count, default=0,
-                   help="worker processes for bootstrap replicates (0 = all cores)")
+                   help="worker processes, at most one per bootstrap replicate (0 = all cores)")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("stress", help="sample stressed scenarios from a model")
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the benchmark grid from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=_count, default=0, help="worker processes (0 = all cores)")
+    p.add_argument("--threads", type=_count, default=0, help="worker processes, at most one per task (0 = all cores)")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

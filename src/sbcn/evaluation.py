@@ -53,8 +53,9 @@ class SweepConfig:
     confidence_threshold: float = 0.5
     search: LearnOptions = LearnOptions()
 
-    #: Config keys that set the ``LearnOptions`` field of the same name.
-    SEARCH = ("max_iterations", "restarts", "smoothing", "penalty")
+    #: Config keys that set the ``LearnOptions`` field of the same name: those that reach
+    #: the search.  A sweep scores arcs only, so ``smoothing`` (fitted CPTs only) is not one.
+    SEARCH = ("max_iterations", "restarts", "penalty")
 
     def __post_init__(self):
         if "mode" not in self.generator:

@@ -259,9 +259,6 @@ class BinaryDataset(_Value):
     def n(self) -> int:
         return self.values.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.values[:, i]
-
     @cached_property
     def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct rows, as a read-only column-major bool matrix, and
@@ -533,7 +530,7 @@ class SbcnModel(_Value):
         def build(n, names, edges, rank, cpts, confidence=None):
             cpts = [_json_object(c, "cpts entry", _CPT_KEYS, build=Cpt, at=f"cpts[{i}]")
                     for i, c in enumerate(cpts)]
-            conf = None if confidence is None else {(u, v): c for u, v, c in confidence}
+            conf = None if confidence is None else _by_arc("confidence", confidence)
             return cls(_dag(n, edges, names), cpts, rank, conf, names)
         return _json_object(text, "model", _MODEL_KEYS, ("confidence",), build)
 
@@ -554,7 +551,18 @@ def _dag(n, edges, names=None, expect=None) -> Dag:
     for i, (got, want) in enumerate(zip(names or (), expect or ())):
         if got != want:
             raise ValueError(f"names[{i}] is {got!r}, expected {want!r} (variables in another order)")
-    return Dag(n, edges)
+    return Dag(n, _by_arc("edges", edges))
+
+
+def _by_arc(key: str, entries) -> dict:
+    """``{(u, v): x}`` for a file's ``key`` list of ``[u, v, x]`` entries (x is None for ``[u, v]``);
+    an arc listed twice is a ``ValueError``, where a dict or a set would silently keep one."""
+    arcs = {}
+    for u, v, *x in entries:
+        if (u, v) in arcs:
+            raise ValueError(f"{key} entries must be distinct, got {[u, v]} twice")
+        arcs[u, v] = x[0] if x else None
+    return arcs
 
 
 def _part_problems(model: SbcnModel) -> list[str]:

@@ -197,3 +197,28 @@ class TestFanOut:
         monkeypatch.setattr("sbcn.bootstrap.os.cpu_count", lambda: cores)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         assert _fan_out(str, [1, 2, 3], threads) == ["1", "2", "3"]
+
+    @pytest.mark.parametrize("threads, tasks, workers", [
+        (8, 2, 2), (0, 3, 3), (None, 3, 3), (4, 1, None),
+    ])
+    def test_no_more_workers_than_tasks(self, monkeypatch, threads, tasks, workers):
+        # a pool forks all its workers at the first submit, needed or not
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr("sbcn.bootstrap.os.cpu_count", lambda: 64)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        assert _fan_out(str, list(range(tasks)), threads) == [str(t) for t in range(tasks)]
+        assert started == ([] if workers is None else [workers])

@@ -17,7 +17,6 @@ from sbcn.classifier import (
     label_measure,
     label_scenarios,
     learn_tree,
-    predict,
     risky_paths,
     tree_from_blocks,
     up_counts,
@@ -184,7 +183,7 @@ class TestLearnTree:
             leaf = leaf_for(features[i])
             n_prof, n_risky = leaf.counts
             expected = RISKY if n_risky > n_prof else PROFITABLE
-            assert predict(tree, dict(enumerate(features[i]))) == expected
+            assert leaf.label == expected
 
     def test_impurity_gate(self):
         # Gini is the only impurity; the keyword that named it is gone
@@ -294,30 +293,6 @@ class TestTreeFromBlocks:
         assert isinstance(got[1], int)
 
 
-class TestPredict:
-    def test_single_leaf_tree(self):
-        tree = DecisionTree(Leaf(RISKY, (0, 10)))
-        assert predict(tree, {}) == RISKY
-
-    def test_path_following(self):
-        tree = DecisionTree(
-            Split(0, Split(1, Leaf(RISKY, (1, 9)), Leaf(PROFITABLE, (8, 2))), Leaf(PROFITABLE, (20, 0))),
-            feature_names=("S", "M"),
-        )
-        assert predict(tree, {0: 1}) == PROFITABLE
-        assert predict(tree, {0: 0, 1: 0}) == RISKY
-        assert predict(tree, {0: 0, 1: 1}) == PROFITABLE
-
-    def test_missing_required_factor(self):
-        tree = DecisionTree(Split(1, Leaf(RISKY, (0, 1)), Leaf(PROFITABLE, (1, 0))), ("S", "M"))
-        with pytest.raises(ValueError, match="M"):
-            predict(tree, {0: 1})
-
-    def test_full_vector_accepted(self):
-        tree = DecisionTree(Split(1, Leaf(RISKY, (0, 1)), Leaf(PROFITABLE, (1, 0))))
-        assert predict(tree, np.array([0, 0])) == RISKY
-
-
 class TestRiskyPaths:
     def test_profitable_leaf_gives_no_paths(self):
         assert risky_paths(DecisionTree(Leaf(PROFITABLE, (5, 0)))) == []
@@ -338,7 +313,10 @@ class TestRiskyPaths:
         labels = label_scenarios(scen, range(5, 15), 0.10)
         tree = learn_tree(scen[:, :5], labels)
         for path in risky_paths(tree):
-            assert predict(tree, path) == RISKY
+            node = tree.root
+            while isinstance(node, Split):
+                node = node.right if path[node.feature] else node.left
+            assert node.label == RISKY
 
 
 class TestTreeSerialization:

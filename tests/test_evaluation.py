@@ -133,7 +133,6 @@ class TestSweepConfig:
     @pytest.mark.parametrize("key, value, rule", [
         ("max_iterations", 0, ">= 1"),
         ("restarts", -1, ">= 0"),
-        ("smoothing", -0.5, ">= 0"),
         ("bootstrap_replicates", 0, ">= 1"),
     ])
     def test_search_settings_checked_when_parsed(self, key, value, rule):
@@ -160,7 +159,6 @@ class TestSweepConfig:
     @pytest.mark.parametrize("key, value", [
         ("max_iterations", "many"),
         ("restarts", None),
-        ("smoothing", [1]),
         ("bootstrap_replicates", "x"),
         ("confidence_threshold", {}),
     ])
@@ -175,7 +173,7 @@ class TestSweepConfig:
         ("max_iterations", True, "max_iterations must be an integer, got True"),
         ("sample_sizes", [20.7], "sample_sizes entries must be an integer, got 20.7"),
         ("repetitions", 2.5, "repetitions must be an integer, got 2.5"),
-        ("smoothing", float("nan"), "smoothing must be a finite number, got nan"),
+        ("confidence_threshold", float("nan"), "confidence_threshold must be a finite number, got nan"),
     ])
     def test_ill_typed_value_names_the_key(self, key, value, message):
         with pytest.raises(ModelSchemaError) as exc:
@@ -192,6 +190,8 @@ class TestSweepConfig:
         ({"max_iteration": 5}, "max_iteration"),
         ({"search": {"max_iterations": 5}}, "search"),
         ({"search": {}, "max_iteration": 5}, "max_iteration, search"),
+        # it shapes only fitted CPTs, and a sweep scores arcs
+        ({"smoothing": 0.5}, "smoothing"),
     ])
     def test_unknown_keys_listed(self, overrides, keys):
         with pytest.raises(ModelSchemaError) as exc:
@@ -222,7 +222,7 @@ class TestSweepConfig:
 
     def test_search_keys_build_learn_options(self):
         assert tiny_config().search == LearnOptions(max_iterations=200)
-        settings = {"max_iterations": 7, "restarts": 2, "smoothing": 0.5, "penalty": "parameters"}
+        settings = {"max_iterations": 7, "restarts": 2, "penalty": "parameters"}
         assert tiny_config(**settings).search == LearnOptions(**settings)
 
     def test_json_booleans_accepted(self):
@@ -291,9 +291,9 @@ class TestRunSweep:
         {},
         {"max_iterations": 7},
         {"restarts": 1},
-        {"smoothing": 0.25},
+        {"penalty": "arcs"},
         {"penalty": "parameters"},
-        {"max_iterations": 30, "restarts": 2, "smoothing": 0.0, "penalty": "parameters"},
+        {"max_iterations": 30, "restarts": 2, "penalty": "parameters"},
     ])
     def test_search_settings_reach_every_replicate(self, monkeypatch, settings):
         seen = []

@@ -404,6 +404,20 @@ class TestJsonReaders:
     def test_well_typed_file_reads(self, reader, obj):
         self.READERS[reader](json.dumps(obj))
 
+    @pytest.mark.parametrize("reader, obj, key", [
+        pytest.param("dag", {"n": 2, "edges": [[0, 1], [0, 1]]}, "edges", id="dag-edges"),
+        pytest.param("model", edited(MODEL, ["edges"], [[0, 1], [0, 1]]), "edges", id="model-edges"),
+        pytest.param("model", edited(MODEL, ["confidence"], [[0, 1, 0.5], [0, 1, 1.0]]),
+                     "confidence", id="model-confidence"),
+        pytest.param("report", edited(REPORT, ["confidence"], [[0, 1, 0.5], [0, 1, 1.0]]),
+                     "confidence", id="report-confidence"),
+    ])
+    def test_repeated_arc_is_refused(self, reader, obj, key):
+        # read into a set or a dict, the file would lose one of the two silently
+        with pytest.raises(ModelSchemaError) as exc:
+            self.READERS[reader](json.dumps(obj))
+        assert str(exc.value) == f"{key} entries must be distinct, got [0, 1] twice"
+
     @pytest.mark.parametrize("entry", [True, None, [0.5], {}, 10 ** 400])
     def test_table_entry_of_another_type(self, entry):
         message = r"^cpts\[0\]: table entries must be a finite number"

@@ -136,7 +136,7 @@ class TestFitCpts:
     def test_empty_parents_equals_marginal(self):
         ds = dataset([[1], [0], [1], [1]])
         model = fit_cpts(ds, Dag(1), smoothing=0)
-        assert model.cpt(0).table[0] == ds.column(0).mean()
+        assert model.cpt(0).table[0] == ds.values[:, 0].mean()
 
     def test_unseen_config_gets_half(self):
         ds = dataset([[0, 1], [0, 0]])  # parent never 1

@@ -476,6 +476,13 @@ class TestPublicNames:
         assert [k for k, v in namespace.items() if isinstance(v, ModuleType)] == []
         assert all(namespace[name] is getattr(sbcn, name) for name in sbcn.__all__)
 
+    @pytest.mark.parametrize("owner, name", [
+        (sbcn, "predict"), (sbcn.classifier, "predict"), (BinaryDataset, "column"),
+    ], ids=["sbcn.predict", "sbcn.classifier.predict", "BinaryDataset.column"])
+    def test_removed_names_are_gone(self, owner, name):
+        # the tree is read through risky_paths only, and a column is values[:, i]
+        assert not hasattr(owner, name)
+
     @pytest.mark.parametrize("name, keyword, value", [
         ("learn_tree", "max_depth", None), ("learn_tree", "min_leaf", 5), ("learn_tree", "min_gain", None),
         ("LearnOptions", "tp_mode", "rank"), ("prima_facie_edges", "tp_mode", "rank"),
