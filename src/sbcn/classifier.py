@@ -177,10 +177,8 @@ def _node_from_obj(obj: dict, path: str = "root"):
 
 
 def _gini(n_profitable: float, n_risky: float) -> float:
-    total = n_profitable + n_risky
-    if total == 0:
-        return 0.0
-    p = n_risky / total
+    # total > 0: a priced node holds >= 2 * MIN_LEAF rows, each child >= MIN_LEAF
+    p = n_risky / (n_profitable + n_risky)
     return 2.0 * p * (1.0 - p)
 
 
@@ -219,14 +217,8 @@ def learn_tree(features: np.ndarray, labels: np.ndarray) -> DecisionTree:
         raise ValueError("features must be a matrix, one row per scenario")
     if labels.shape != (features.shape[0],):
         raise ValueError("one label per feature row required")
-    return _grow_tree(*_distinct_rows([labels, *features.astype(bool).T], len(labels)))
-
-
-def _grow_tree(rows: np.ndarray, counts: np.ndarray, feature_names=()) -> DecisionTree:
-    """The tree of :func:`learn_tree` grown on 0/1 rows, each standing for
-    ``counts`` training rows: the label in column 0, feature f in column f + 1."""
-    features = range(rows.shape[1] - 1)
-    return DecisionTree(_grow(rows[:, 1:], rows[:, 0], counts, frozenset(features)), feature_names)
+    rows, counts = _distinct_rows([labels, *features.astype(bool).T], len(labels))
+    return DecisionTree(_grow(rows[:, 1:], rows[:, 0], counts, frozenset(range(features.shape[1]))))
 
 
 def _grow(
@@ -240,8 +232,9 @@ def _grow(
     parent_impurity = _gini(total - n_risky, n_risky)
     best_gain = NOISE_FLOOR_CHI2 * parent_impurity / total
     best_feature = -1
-    rights = counts @ features  # rows with each feature at 1
-    risky_rights = counts[labels] @ features[labels]
+    # rows, and risky rows, with each feature at 1: int64 sums that read the bool rows in place
+    rights = np.einsum("i,ij->j", counts, features)
+    risky_rights = np.einsum("i,ij->j", counts * labels, features)
     for f in sorted(usable):
         n_right = int(rights[f])
         n_left = total - n_right
@@ -285,7 +278,8 @@ def tree_from_blocks(blocks, n_factors: int, max_up: int, risky_fraction: float,
     labels = np.zeros(len(ups), dtype=bool) if cut is None else ups <= cut
     # learn_tree's rows: the label in column 0, in the same code order
     rows, counts = _distinct_rows([labels, *patterns.T], len(labels), counts)
-    return _grow_tree(rows, counts, feature_names), int(counts[rows[:, 0]].sum()), cut
+    root = _grow(rows[:, 1:], rows[:, 0], counts, frozenset(range(n_factors)))
+    return DecisionTree(root, feature_names), int(counts[rows[:, 0]].sum()), cut
 
 
 def stress_tree(model: SbcnModel, samples: int, risky_fraction: float,
@@ -364,7 +358,7 @@ def _merged(held):
     """One (distinct rows, counts) pair of several."""
     if len(held) == 1:
         return held[0]
-    columns = [np.concatenate([rows[:, j] for rows, _ in held]) for j in range(held[0][0].shape[1])]
+    columns = np.concatenate([rows.T for rows, _ in held], axis=1)  # one contiguous row a column
     counts = np.concatenate([counts for _, counts in held])
     return _distinct_rows(columns, len(counts), counts)
 

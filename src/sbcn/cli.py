@@ -33,7 +33,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # skips a leading byte-order mark
         return fh.read()
 
 
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate synthetic data with known ground truth")
     p.add_argument("--mode", choices=GENERATOR_MODES, default="famafrench")
     p.add_argument("--samples", type=_positive, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--spec", help="JSON file of generator parameter overrides")
     p.add_argument("--out-data", required=True, help="dataset CSV to write")
     p.add_argument("--out-truth", help="ground-truth DAG JSON to write")
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="which risky tree path to clamp")
     picker.add_argument("--clamp", help='manual scenario, e.g. "SMB=0,Km=0" (skips the tree)')
     p.add_argument("--count", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out-scenarios", required=True)
     p.add_argument("--out-tree")
     p.set_defaults(func=_cmd_stress)

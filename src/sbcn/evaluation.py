@@ -70,14 +70,18 @@ class SweepConfig:
             raise ModelSchemaError(str(exc)) from None
         if any(size < 1 for size in self.sample_sizes):
             raise ModelSchemaError(f"sample_sizes entries must be >= 1, got {list(self.sample_sizes)}")
-        # a repeated entry would run its cells again, on the same seeds
+        # an empty list would run no cell, a repeated entry its cells again on the same seeds
         for key in ("sample_sizes", "criteria", "bootstrap", "learners"):
             entries = getattr(self, key)
+            if not entries:
+                raise ModelSchemaError(f"{key} must not be empty")
             for i, value in enumerate(entries):
                 if value in entries[:i]:
                     raise ModelSchemaError(f"{key} entries must be distinct, got {value!r} twice")
         if self.repetitions < 1:
             raise ModelSchemaError("repetitions must be >= 1")
+        if self.seed < 0:
+            raise ModelSchemaError("seed must be >= 0")
         if self.bootstrap_replicates < 1:
             raise ModelSchemaError("bootstrap_replicates must be >= 1")
         if not 0.0 <= self.confidence_threshold <= 1.0:

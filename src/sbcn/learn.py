@@ -79,6 +79,8 @@ class LearnOptions:
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
         _check_smoothing(self.smoothing)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         _check_choice("penalty", self.penalty, PENALTIES)
 
 

@@ -229,6 +229,7 @@ class TestInfer:
         ("--max-iterations", "0", "argument --max-iterations: max_iterations must be >= 1"),
         ("--restarts", "-1", "argument --restarts: restarts must be >= 0"),
         ("--smoothing", "-1", "argument --smoothing: smoothing must be >= 0"),
+        ("--seed", "-1", "argument --seed: seed must be >= 0"),
     ])
     def test_search_bound_usage_error(self, tmp_path, capsys, flag, value, message):
         # the data file does not exist: the flag fails before it is read
@@ -424,6 +425,8 @@ class TestStress:
         ("stress", "--count", "-5"),
         ("stress", "--samples-for-tree", "-5"),
         ("simulate", "--samples", "-3"),
+        ("stress", "--seed", "-1"),
+        ("simulate", "--seed", "-1"),
     ])
     def test_negative_count_usage_error(self, tmp_path, capsys, model_file, command, flag, value):
         out = tmp_path / "out.csv"
@@ -626,6 +629,22 @@ class TestStressStream:
         small, large = peak(30000), peak(300000)
         assert abs(large - small) < 2**20
 
+    def test_tree_memory_at_60_factors(self, tmp_path):
+        """The tree's split counts read each node's bool rows in place; an
+        int64 copy of them and a copy of the risky rows would raise this
+        run's traced peak from about 14 to about 30 MiB."""
+        _, dag, data = sparse_random_instance(60, 8, 0.05, T=2000, seed=60)
+        path = tmp_path / "m.json"
+        path.write_text(fit_cpts(data, dag).to_json())
+        tracemalloc.start()
+        try:
+            assert run(["stress", "--model", path, "--samples-for-tree", 50000, "--risky-fraction", 0.3,
+                        "--seed", 5, "--count", 1000, "--out-scenarios", tmp_path / "s.csv"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
 
 class TestEvaluate:
     def test_stats_row(self, tmp_path):
@@ -740,6 +759,25 @@ class TestSweep:
 
 
 class TestEncoding:
+    @pytest.mark.parametrize("marked", ["data", "model"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, marked):
+        """Excel's "CSV UTF-8" starts a file with a byte-order mark; it is no
+        part of the first variable name, and a model file may carry one too."""
+        files = {"data": tmp_path / "d.csv", "model": tmp_path / "m.json"}
+        out = tmp_path / "s.csv"
+
+        def mark(kind):
+            if kind == marked:
+                files[kind].write_bytes(b"\xef\xbb\xbf" + files[kind].read_bytes())
+        assert run(["simulate", "--samples", 200, "--seed", 1, "--out-data", files["data"]]) == 0
+        mark("data")
+        assert run(["infer", "--data", files["data"], "--max-iterations", 200,
+                    "--out-model", files["model"]]) == 0
+        mark("model")
+        assert run(["stress", "--model", files["model"], "--clamp", "Km=0", "--count", 3,
+                    "--out-scenarios", out]) == 0
+        assert read(out).startswith("Km,")
+
     def test_utf8_files_under_ascii_locale(self, tmp_path):
         """Files are UTF-8 whatever the locale's encoding is."""
         src = Path(__file__).resolve().parents[1] / "src"

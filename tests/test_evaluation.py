@@ -134,6 +134,7 @@ class TestSweepConfig:
         ("max_iterations", 0, ">= 1"),
         ("restarts", -1, ">= 0"),
         ("bootstrap_replicates", 0, ">= 1"),
+        ("seed", -3, ">= 0"),
     ])
     def test_search_settings_checked_when_parsed(self, key, value, rule):
         with pytest.raises(ModelSchemaError, match=f"^{key} must be {rule}$"):
@@ -155,6 +156,13 @@ class TestSweepConfig:
         with pytest.raises(ModelSchemaError) as exc:
             tiny_config(**{key: entries})
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("key", ["sample_sizes", "criteria", "bootstrap", "learners"])
+    def test_empty_grid_list_checked_when_parsed(self, key):
+        # an empty list would cross to no cell, and the sweep would write a bare header
+        with pytest.raises(ModelSchemaError) as exc:
+            tiny_config(**{key: []})
+        assert str(exc.value) == f"{key} must not be empty"
 
     @pytest.mark.parametrize("key, value", [
         ("max_iterations", "many"),

@@ -1043,6 +1043,8 @@ class TestLearners:
             LearnOptions(smoothing=-math.inf)
         with pytest.raises(ValueError):
             LearnOptions(penalty="edges")
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            LearnOptions(seed=-1)
 
 
 
