@@ -15,7 +15,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .model import SbcnModel, _distinct_rows, _dumps_indent2, _json_object
+from .model import SbcnModel, _distinct_rows, _dumps_indent2, _json_object, _key_rows, _row_keys
 from .sampling import _blocks, clamp
 from .seeds import derive_seed
 
@@ -52,6 +52,11 @@ def label_measure(
     measure among the risky ones.  Returns ``(labels, cut)``; the cut is
     None when no scenario is risky.
     """
+    measure = np.asarray(measure)
+    if measure.ndim != 1:
+        raise ValueError(f"label_measure takes a 1-D measure, got shape {measure.shape}")
+    if np.isnan(measure).any():
+        raise ValueError(f"the measure of scenario {np.flatnonzero(np.isnan(measure))[0]} is NaN")
     count = measure.shape[0]
     cut = _cut(risky_fraction, count, lambda k: np.partition(measure, k - 1)[k - 1])
     return (np.zeros(count, dtype=bool) if cut is None else measure <= cut), cut
@@ -217,15 +222,16 @@ def learn_tree(features: np.ndarray, labels: np.ndarray) -> DecisionTree:
         raise ValueError("features must be a matrix, one row per scenario")
     if labels.shape != (features.shape[0],):
         raise ValueError("one label per feature row required")
-    rows, counts = _distinct_rows([labels, *features.astype(bool).T], len(labels))
-    return DecisionTree(_grow(rows[:, 1:], rows[:, 0], counts, frozenset(range(features.shape[1]))))
+    rows, counts = _distinct_rows(np.column_stack([labels, features.astype(bool)]))
+    return DecisionTree(_grow(rows[:, 1:], counts * rows[:, 0], counts, frozenset(range(features.shape[1]))))
 
 
 def _grow(
-    features: np.ndarray, labels: np.ndarray, counts: np.ndarray, usable: frozenset[int]
+    features: np.ndarray, risky: np.ndarray, counts: np.ndarray, usable: frozenset[int]
 ) -> Union[Split, Leaf]:
+    """The subtree of ``counts[i]`` rows of pattern ``features[i]``, ``risky[i]`` of them risky."""
     total = int(counts.sum())
-    n_risky = int(counts[labels].sum())
+    n_risky = int(risky.sum())
     if n_risky in (0, total) or not usable or total < 2 * MIN_LEAF:
         return _majority_leaf(total - n_risky, n_risky)
 
@@ -234,7 +240,7 @@ def _grow(
     best_feature = -1
     # rows, and risky rows, with each feature at 1: int64 sums that read the bool rows in place
     rights = np.einsum("i,ij->j", counts, features)
-    risky_rights = np.einsum("i,ij->j", counts * labels, features)
+    risky_rights = np.einsum("i,ij->j", risky, features)
     for f in sorted(usable):
         n_right = int(rights[f])
         n_left = total - n_right
@@ -257,8 +263,8 @@ def _grow(
     remaining = usable - {best_feature}
     return Split(
         best_feature,
-        _grow(features[~mask], labels[~mask], counts[~mask], remaining),
-        _grow(features[mask], labels[mask], counts[mask], remaining),
+        _grow(features[~mask], risky[~mask], counts[~mask], remaining),
+        _grow(features[mask], risky[mask], counts[mask], remaining),
     )
 
 
@@ -275,11 +281,9 @@ def tree_from_blocks(blocks, n_factors: int, max_up: int, risky_fraction: float,
     patterns, ups, counts = _pattern_up_counts(blocks, n_factors, max_up)
     histogram = np.cumsum(np.bincount(ups, counts))  # float64 sums of integers
     cut = _cut(risky_fraction, int(counts.sum()), lambda k: np.searchsorted(histogram, k))
-    labels = np.zeros(len(ups), dtype=bool) if cut is None else ups <= cut
-    # learn_tree's rows: the label in column 0, in the same code order
-    rows, counts = _distinct_rows([labels, *patterns.T], len(labels), counts)
-    root = _grow(rows[:, 1:], rows[:, 0], counts, frozenset(range(n_factors)))
-    return DecisionTree(root, feature_names), int(counts[rows[:, 0]].sum()), cut
+    risky = np.zeros_like(counts) if cut is None else counts * (ups <= cut)
+    root = _grow(patterns, risky, counts, frozenset(range(n_factors)))
+    return DecisionTree(root, feature_names), int(risky.sum()), cut
 
 
 def stress_tree(model: SbcnModel, samples: int, risky_fraction: float,
@@ -323,11 +327,10 @@ def _pattern_up_counts(blocks, n_factors: int, max_up: int):
     counts and their D int64 counts.  While the table of every pair has at
     most _DENSE_CELLS cells, each row is counted in it at pattern *
     (max_up + 1) + up, factor j at pattern bit j.  A larger table is kept
-    as the distinct rows (factor columns, then the up count's bits) of
-    each block, which ``model._distinct_rows`` groups at any width, merged
-    whenever the unmerged ones number as many as the merged ones: each row
-    is regrouped O(log rows) times, and no more rows are held than were
-    drawn.
+    as each block's distinct ``model._row_keys`` (factor columns, then the
+    up count's bits) and their counts, merged whenever the unmerged keys
+    number as many as the merged ones: each row is regrouped O(log rows)
+    times, and the keys are decoded once, at the end.
     """
     width = max_up + 1
     cells = width << n_factors
@@ -344,23 +347,25 @@ def _pattern_up_counts(blocks, n_factors: int, max_up: int):
         patterns, ups = np.divmod(filled, width)
         return (patterns[:, None] >> np.arange(n_factors) & 1).astype(bool), ups, table[filled]
     bits = max_up.bit_length()
-    held = []  # (distinct rows, counts): the merged ones first
+    powers = 1 << np.arange(bits)
+    held = []  # (distinct keys, counts): the merged ones first
     for columns, up in blocks:
-        up = up.astype(np.intp)
-        held.append(_distinct_rows([*columns, *(up >> b & 1 for b in range(bits))], len(up)))
+        up_bits = up.astype(np.intp) & powers[:, None] != 0
+        held.append(np.unique(_row_keys(np.concatenate([columns, up_bits]).T), return_counts=True))
         if sum(len(counts) for _, counts in held[1:]) >= len(held[0][1]):
             held = [_merged(held)]
-    rows, counts = _merged(held)
-    return rows[:, :n_factors], rows[:, n_factors:].astype(np.intp) @ (1 << np.arange(bits)), counts
+    keys, counts = _merged(held)
+    rows = _key_rows(keys, n_factors + bits)
+    return rows[:, :n_factors], rows[:, n_factors:] @ powers, counts
 
 
 def _merged(held):
-    """One (distinct rows, counts) pair of several."""
+    """One (distinct keys, counts) pair of several."""
     if len(held) == 1:
         return held[0]
-    columns = np.concatenate([rows.T for rows, _ in held], axis=1)  # one contiguous row a column
-    counts = np.concatenate([counts for _, counts in held])
-    return _distinct_rows(columns, len(counts), counts)
+    keys, inverse = np.unique(np.concatenate([keys for keys, _ in held]), return_inverse=True)
+    counts = np.concatenate([counts for _, counts in held])  # float64 sums below 2**53 are exact
+    return keys, np.bincount(inverse, counts, len(keys)).astype(np.int64)
 
 
 def risky_paths(tree: DecisionTree) -> list[dict[int, int]]:

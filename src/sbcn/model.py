@@ -181,46 +181,35 @@ def _as_binary_matrix(values) -> np.ndarray:
     return _frozen(arr, np.uint8)
 
 
-def _distinct_rows(columns, m: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``m``-long 0/1 columns, as a column-major bool
-    matrix, and the int64 count of each: its number of rows or, given
-    integer ``weights``, one per row, their sum.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of the 2-D 0/1 matrix ``rows``, the same in every call:
+    its bits packed little-endian, column j at bit j, as an unsigned integer
+    of 1, 2, 4 or 8 bytes up to 64 columns and a fixed-width byte string past."""
+    m, c = rows.shape
+    size = -(-c // 8)
+    width = size if size > 8 else 1 << max(size - 1, 0).bit_length()
+    keys = np.empty(m, dtype=f"S{width}" if size > 8 else f"<u{width}")
+    # 8192 zero-padded rows at a time: numpy packs one flat run of bits far
+    # faster than many short rows, and the buffer stays small
+    bits = np.zeros((min(m, 8192), 8 * width), dtype=bool)
+    for start in range(0, m, 8192):
+        chunk = rows[start:start + 8192]
+        bits[:len(chunk), :c] = chunk
+        keys[start:start + len(chunk)] = np.packbits(bits[:len(chunk)], bitorder="little").view(keys.dtype)
+    return keys
 
-    ``columns`` is a sequence of 1-D arrays; a matrix's transpose serves.
-    Each row is packed into an int64 code, column j at bit j, and the codes
-    are grouped by one ``np.unique``, so the rows come out in increasing code
-    order.  A code holds 63 bits, so wider rows are re-densified on the way:
-    once the code is full, it is replaced by its rank among the distinct
-    codes so far, and the ranks' values are kept to decode the distinct rows
-    afterwards.
-    """
-    code = np.zeros(m, dtype=np.int64)
-    stages = [(None, 0, 0)]  # (prefix values, prefix bits, first column) per code
-    width = 0
-    for j, column in enumerate(columns):
-        if width == 63:
-            prefix, inverse = np.unique(code, return_inverse=True)
-            code = inverse.astype(np.int64)
-            width = (len(prefix) - 1).bit_length()
-            stages.append((prefix, width, j))
-        code |= np.left_shift(column, width, dtype=np.int64)
-        width += 1
-    if weights is None:
-        code, counts = np.unique(code, return_counts=True)
-    else:  # float64 sums of integers, exact below 2**53
-        code, inverse = np.unique(code, return_inverse=True)
-        counts = np.bincount(inverse, weights, len(code)).astype(np.int64)
-    rows = np.empty((len(code), len(columns)), dtype=bool, order="F")
-    stop = len(columns)
-    for prefix, bits, start in reversed(stages):
-        # one column at a time, so no temporary of (columns x rows) int64
-        for j in range(start, stop):
-            np.bitwise_and(code >> (bits + j - start), 1, out=rows[:, j], casting="unsafe")
-        code = code & ((1 << bits) - 1)
-        if prefix is not None:
-            code = prefix[code]
-        stop = start
-    return rows, counts
+
+def _key_rows(keys: np.ndarray, c: int) -> np.ndarray:
+    """The ``c``-column bool rows whose :func:`_row_keys` are ``keys``."""
+    packed = keys.view(np.uint8).reshape(len(keys), keys.itemsize)
+    return np.unpackbits(packed.T, axis=0, count=c, bitorder="little").view(bool).T
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the 2-D 0/1 matrix ``rows``, as a bool matrix
+    in increasing :func:`_row_keys` order, and the int64 count of each."""
+    keys, counts = np.unique(_row_keys(rows), return_counts=True)
+    return _key_rows(keys, rows.shape[1]), counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,11 +250,11 @@ class BinaryDataset(_Value):
 
     @cached_property
     def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows, as a read-only column-major bool matrix, and
-        the int64 count of each.  Grouped on first use and kept, so every
-        count over this dataset (a search, its CPT fit, a log-likelihood)
-        groups the rows once."""
-        rows, counts = _distinct_rows(self.values.T, self.m)
+        """The distinct rows, as a read-only bool matrix, and the int64
+        count of each.  Grouped on first use and kept, so every count over
+        this dataset (a search, its CPT fit, a log-likelihood) groups the
+        rows once."""
+        rows, counts = _distinct_rows(self.values)
         rows.setflags(write=False)
         counts.setflags(write=False)
         return rows, counts
@@ -357,8 +346,9 @@ def _csv_head(names, *extra_head: str) -> str:
     """The header row and any ``extra_head`` lines, each LF ended.
 
     Names that would not read back as written (holding a comma or a line
-    break, padded with whitespace, a first name starting with ``#rank:``,
-    or a lone empty name, whose header line is blank) are rejected.
+    break, padded with whitespace, a first name starting with ``#rank:`` or
+    with a byte-order mark, which the command line drops, or a lone empty
+    name, whose header line is blank) are rejected.
     """
     for col_no, name in enumerate(names, start=1):
         if "," in name or name != name.strip() or len(name.splitlines()) > 1:
@@ -366,11 +356,10 @@ def _csv_head(names, *extra_head: str) -> str:
                 f"column {col_no}: name {name!r} has a comma, a line break or "
                 "surrounding whitespace and would not read back from CSV"
             )
-    if names and names[0].startswith("#rank:"):
-        raise ValueError(
-            f"column 1: name {names[0]!r} starts with '#rank:', so the header "
-            "line would read back as a rank line"
-        )
+    for prefix, fault in (("#rank:", "the header line would read back as a rank line"),
+                          ("\ufeff", "the command line would drop it as a byte-order mark")):
+        if names and names[0].startswith(prefix):
+            raise ValueError(f"column 1: name {names[0]!r} starts with {prefix!r}, so {fault}")
     if list(names) == [""]:
         raise ValueError(
             "column 1: name '' is the only name, so the header line would be "

@@ -260,6 +260,11 @@ class TestLabelMeasure:
             label_measure(np.zeros(3), 1.5)
         with pytest.raises(ValueError, match="at least one scenario"):
             label_measure(np.zeros(0), 0.1)
+        for measure in (np.zeros((3, 2)), np.zeros((4, 1)), np.float64(2.0)):
+            with pytest.raises(ValueError, match="1-D measure, got shape"):
+                label_measure(measure, 0.5)
+        with pytest.raises(ValueError, match="measure of scenario 1 is NaN"):
+            label_measure(np.array([1.0, np.nan, 2.0]), 0.5)
 
 
 class TestTreeFromBlocks:

@@ -287,6 +287,17 @@ class TestCsvNames:
         later = BinaryDataset([[0, 1]], ["b", "#rank:x"], [0, 1])
         assert BinaryDataset.from_csv(later.to_csv()) == later
 
+    def test_writer_rejects_a_first_name_that_starts_with_a_byte_order_mark(self):
+        # the command line reads files as utf-8-sig, which drops it
+        ds = BinaryDataset([[0, 1]], ["\ufeffKm", "b"], [0, 0])
+        message = r"column 1: name '\\ufeffKm' starts with '\\ufeff', so the command line would drop it"
+        with pytest.raises(ValueError, match=message):
+            ds.to_csv()
+        with pytest.raises(ValueError, match=message):
+            scenarios_to_csv(np.zeros((1, 2), dtype=np.uint8), ["\ufeffKm", "b"])
+        later = BinaryDataset([[0, 1]], ["b", "\ufeffKm"], [0, 1])
+        assert BinaryDataset.from_csv(later.to_csv()) == later
+
 
 class TestFloatRepr:
     """A sweep report writes each rate as the shortest text that reads back

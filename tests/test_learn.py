@@ -591,7 +591,7 @@ def random_dag(rng, n, max_parents=14):
 
 
 GROUPING_ROWS = st.sampled_from([1, 1023, _PACKED_MAX_ROWS, _PACKED_MAX_ROWS + 1, 2048, 5000])
-# narrow rows, and rows past the 63 bits one int64 code holds
+# narrow rows, and rows on either side of the 64 bits an integer row key holds
 GROUPING_WIDTHS = st.one_of(st.integers(1, 20), st.integers(60, 70))
 
 

@@ -109,7 +109,8 @@ class TestBinaryDataset:
     @settings(max_examples=100, deadline=None)
     @given(
         m=st.integers(1, 300),
-        n=st.sampled_from([0, 1, 2, 15, 62, 63, 64, 65, 70, 126, 127, 130]),
+        n=st.sampled_from([0, 1, 2, 8, 9, 15, 16, 17, 24, 25, 32, 33, 56, 57, 62, 63, 64, 65, 70,
+                           126, 127, 130]),
         patterns=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
     )
