@@ -324,37 +324,29 @@ def _pattern_up_counts(blocks, n_factors: int, max_up: int):
     each.
 
     Returns ``(patterns, ups, counts)``: a (D, n_factors) bool matrix, the D up
-    counts and their D int64 counts.  While the table of every pair has at
-    most _DENSE_CELLS cells, each row is counted in it at pattern *
-    (max_up + 1) + up, factor j at pattern bit j.  A larger table is kept
-    as each block's distinct ``model._row_keys`` (factor columns, then the
-    up count's bits) and their counts, merged whenever the unmerged keys
-    number as many as the merged ones: each row is regrouped O(log rows)
-    times, and the keys are decoded once, at the end.
+    counts and their D int64 counts.  Each row is keyed by
+    ``model._row_keys`` of its factor columns, then its up count's bits.
+    While every key is below _DENSE_CELLS, each block is counted into one
+    array indexed by key.  Past that, each block's distinct keys and their
+    counts are kept, merged whenever the unmerged keys number as many as
+    the merged ones: each row is regrouped O(log rows) times.  The keys
+    are decoded once, at the end.
     """
-    width = max_up + 1
-    cells = width << n_factors
-    if cells <= _DENSE_CELLS:
-        table = np.zeros(cells, dtype=np.int64)
-        for columns, up in blocks:
-            index = np.zeros(len(up), dtype=np.intp)
-            for j, column in enumerate(columns):
-                index |= np.left_shift(column, j, dtype=np.intp)
-            index *= width
-            index += up.astype(np.intp)
-            table += np.bincount(index, minlength=cells)
-        filled = np.flatnonzero(table)
-        patterns, ups = np.divmod(filled, width)
-        return (patterns[:, None] >> np.arange(n_factors) & 1).astype(bool), ups, table[filled]
     bits = max_up.bit_length()
-    powers = 1 << np.arange(bits)
+    powers = 1 << np.arange(bits, dtype=np.min_scalar_type(max_up))  # narrowest type: a faster bit test
+    dense = 1 << (n_factors + bits) <= _DENSE_CELLS
+    table = np.zeros(1 << (n_factors + bits) if dense else 0, dtype=np.int64)
     held = []  # (distinct keys, counts): the merged ones first
     for columns, up in blocks:
-        up_bits = up.astype(np.intp) & powers[:, None] != 0
-        held.append(np.unique(_row_keys(np.concatenate([columns, up_bits]).T), return_counts=True))
+        up_bits = up.astype(powers.dtype) & powers[:, None] != 0
+        keys = _row_keys(np.concatenate([columns, up_bits], dtype=bool, casting="unsafe").T)
+        if dense:
+            table += np.bincount(keys, minlength=len(table))
+            continue
+        held.append(np.unique(keys, return_counts=True))
         if sum(len(counts) for _, counts in held[1:]) >= len(held[0][1]):
             held = [_merged(held)]
-    keys, counts = _merged(held)
+    keys, counts = (np.flatnonzero(table), table[table > 0]) if dense else _merged(held)
     rows = _key_rows(keys, n_factors + bits)
     return rows[:, :n_factors], rows[:, n_factors:] @ powers, counts
 

@@ -190,11 +190,17 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     width = size if size > 8 else 1 << max(size - 1, 0).bit_length()
     keys = np.empty(m, dtype=f"S{width}" if size > 8 else f"<u{width}")
     # 8192 zero-padded rows at a time: numpy packs one flat run of bits far
-    # faster than many short rows, and the buffer stays small
+    # faster than many short rows, and the buffer stays small; a column-major
+    # matrix of up to 16 columns is stored one long column copy at a time,
+    # faster than its many short rows
     bits = np.zeros((min(m, 8192), 8 * width), dtype=bool)
     for start in range(0, m, 8192):
         chunk = rows[start:start + 8192]
-        bits[:len(chunk), :c] = chunk
+        if c <= 16 and chunk.strides[0] < chunk.strides[1]:
+            for j in range(c):
+                bits[:len(chunk), j] = chunk[:, j]
+        else:
+            bits[:len(chunk), :c] = chunk
         keys[start:start + len(chunk)] = np.packbits(bits[:len(chunk)], bitorder="little").view(keys.dtype)
     return keys
 
@@ -428,10 +434,16 @@ class Dag:
         object.__setattr__(self, "edges", _arcs(self.n, edges))
         if has_cycle(self.n, self.edges):
             raise ValueError("graph contains a directed cycle")
+        parents: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in sorted(self.edges):
+            parents[v].append(u)
+        object.__setattr__(self, "_parents", tuple(map(tuple, parents)))  # not a field: eq, hash, repr keep (n, edges)
 
     def parents(self, v: int) -> tuple[int, ...]:
         """In-neighbors of v in canonical ascending order."""
-        return tuple(sorted(u for u, w in self.edges if w == v))
+        if not 0 <= v < self.n:
+            raise ValueError(f"node {v} out of range for n={self.n}")
+        return self._parents[v]
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,26 +568,21 @@ def _by_arc(key: str, entries) -> dict:
 
 def _part_problems(model: SbcnModel) -> list[str]:
     """The invariants across a model's parts: a CPT for each node, with the
-    structure's parents, one rank and one distinct name per node, and
-    confidences in [0, 1] on arcs of the structure only."""
+    structure's parents, one nonnegative rank and one distinct name per
+    node, and confidences in [0, 1] on arcs of the structure only."""
     problems: list[str] = []
     n = model.dag.n
     nodes = [c.node for c in model.cpts]
     if sorted(nodes) != list(range(n)):
         problems.append(f"CPT node set {sorted(nodes)} does not cover 0..{n - 1} exactly once")
     else:
-        parent_lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(model.dag.edges):
-            parent_lists[v].append(u)
         for cpt in model.cpts:
-            expected = tuple(parent_lists[cpt.node])
-            if cpt.parents != expected:
-                problems.append(
-                    f"node {cpt.node}: CPT parents {list(cpt.parents)} != "
-                    f"structure parents {list(expected)}"
-                )
+            if cpt.parents != model.dag.parents(cpt.node):
+                problems.append(f"node {cpt.node}: CPT parents {list(cpt.parents)} != "
+                                f"structure parents {list(model.dag.parents(cpt.node))}")
     if len(model.rank) != n:
         problems.append(f"rank has {len(model.rank)} entries, expected {n}")
+    problems += [f"node {i}: rank {r} is negative" for i, r in enumerate(model.rank) if r < 0]
     if len(model.names) != n:
         problems.append(f"names has {len(model.names)} entries, expected {n}")
     first: dict[str, int] = {}

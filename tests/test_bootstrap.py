@@ -64,6 +64,11 @@ class TestEdgeConfidence:
                 low += 1
         assert low >= 9
 
+    def test_no_replicate(self):
+        ds = copy_edge_dataset(1)
+        with pytest.raises(ValueError, match=r"^replicates must be >= 1$"):
+            edge_confidence(ds, LearnOptions(max_iterations=200, seed=0), replicates=0)
+
     def test_single_replicate_binary_confidence(self):
         ds = copy_edge_dataset(1)
         opts = LearnOptions(max_iterations=200, seed=0)

@@ -121,6 +121,15 @@ class TestLearnTree:
             single += isinstance(tree.root, Leaf)
         assert single >= 45
 
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.zeros(4), np.zeros(4), "features must be a matrix, one row per scenario"),
+        (np.zeros((4, 2)), np.zeros(3), "one label per feature row required"),
+    ], ids=["1-D-features", "label-count"])
+    def test_validation(self, features, labels, message):
+        with pytest.raises(ValueError) as exc:
+            learn_tree(features, labels)
+        assert str(exc.value) == message
+
     def test_single_class_single_leaf(self):
         features = np.zeros((20, 3), dtype=np.uint8)
         tree = learn_tree(features, np.zeros(20, dtype=bool))
@@ -274,7 +283,9 @@ class TestTreeFromBlocks:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        # 62 factors and max_up 1 fill one int64 code; 60 and max_up >= 8 pass it
+        # a row's key holds n_factors + max_up.bit_length() bits: up to 64 bits is an
+        # 8-byte integer key, past that a byte string; 62 factors pass 64 at max_up 4,
+        # and 60 factors reach 64 at max_up 8 and pass it at 16
         n_factors=st.sampled_from([1, 3, 5, 60, 62]),
         max_up=st.integers(1, 20),
         sizes=st.lists(st.integers(1, 300), min_size=1, max_size=6),
@@ -346,3 +357,8 @@ class TestTreeSerialization:
         assert "S = 0:" in text
         assert "-> risky (profitable=1, risky=9)" in text
         assert "S = 1:" in text
+
+    def test_text_rendering_without_names(self):
+        tree = DecisionTree(Split(3, Leaf(RISKY, (1, 9)), Leaf(PROFITABLE, (9, 1))))
+        assert tree.to_text() == ("x3 = 0:\n  -> risky (profitable=1, risky=9)\n"
+                                  "x3 = 1:\n  -> profitable (profitable=9, risky=1)\n")

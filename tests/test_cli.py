@@ -398,6 +398,23 @@ class TestStress:
         assert "error: variable 'SMB' named twice in --clamp" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("clamp, message", [
+        ("Km=2", "clamp value for Km must be 0 or 1"),
+        (",", "--clamp parsed to an empty assignment"),
+    ], ids=["value", "empty"])
+    def test_clamp_that_assigns_nothing_valid(self, tmp_path, capsys, model_file, clamp, message):
+        out = tmp_path / "s.csv"
+        assert run(["stress", "--model", model_file, "--clamp", clamp,
+                    "--count", 5, "--out-scenarios", out]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_clamp_skips_an_empty_item(self, tmp_path, model_file):
+        out = tmp_path / "s.csv"
+        assert run(["stress", "--model", model_file, "--clamp", "Km=0,",
+                    "--count", 5, "--out-scenarios", out]) == 0
+        assert [row.split(",")[0] for row in read(out).splitlines()[1:]] == ["0"] * 5
+
     def test_zero_risky_fraction_fails(self, tmp_path, model_file):
         assert run(["stress", "--model", model_file, "--risky-fraction", 0,
                     "--count", 5, "--out-scenarios", tmp_path / "s.csv"]) == 1
@@ -542,8 +559,8 @@ class TestStressStream:
         assert in_memory_stress(model, 5, B + 1, B + 1, 0.3)[1] != expected_csv
 
     @pytest.mark.parametrize("n_factors, n_stocks, p", [
-        (12, 20, 0.3),  # 4096 patterns x 21 up counts: past the dense table
-        (60, 8, 0.05),  # 60 factor bits + 4 up-count bits: past one int64 code
+        (12, 20, 0.3),  # 12 factor bits + 5 up-count bits: 2^17 keys, past the dense table
+        (60, 8, 0.05),  # 60 factor bits + 4 up-count bits: 64, the widest 8-byte integer key
     ])
     @pytest.mark.parametrize("samples", [B + 1, 4 * B + 1])
     def test_tree_path_equals_in_memory_many_factors(self, tmp_path, n_factors, n_stocks, p, samples):

@@ -58,6 +58,32 @@ class TestSpecValidation:
                 1, 1, Dag(1), np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)), np.ones(1)
             )
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_factors": 0, "factor_dag": Dag(0), "factor_loadings": np.zeros((0, 0)),
+          "factor_sigma": np.ones(0), "stock_betas": np.ones((1, 0))},
+         "need at least one factor and a nonnegative stock count"),
+        ({"n_stocks": -1}, "need at least one factor and a nonnegative stock count"),
+        ({"lag": -1}, "lag must be nonnegative"),
+        ({"factor_dag": Dag(3)}, "factor_dag size does not match n_factors"),
+        ({"factor_loadings": np.zeros((2, 3))}, "factor_loadings must be (n_factors, n_factors)"),
+        ({"stock_betas": np.ones((2, 2))}, "stock_betas must be (n_stocks, n_factors)"),
+        ({"factor_sigma": np.ones(3)}, "factor_sigma must be n_factors positive scales"),
+        ({"stock_sigma": np.ones(2)}, "stock_sigma must be n_stocks positive scales"),
+        ({"stock_sigma": np.array([0.0])}, "stock_sigma must be n_stocks positive scales"),
+        ({"factor_names": ("a",)}, "name counts do not match factor/stock counts"),
+        ({"stock_names": ("p", "q")}, "name counts do not match factor/stock counts"),
+    ], ids=["no-factor", "negative-stocks", "lag", "dag-size", "loadings-shape", "betas-shape",
+            "factor-sigma-shape", "stock-sigma-shape", "stock-sigma-zero", "factor-names",
+            "stock-names"])
+    def test_each_check_names_its_fault(self, overrides, message):
+        fields = {"n_factors": 2, "n_stocks": 1, "factor_dag": Dag(2),
+                  "factor_loadings": np.zeros((2, 2)), "factor_sigma": np.ones(2),
+                  "stock_betas": np.ones((1, 2)), "stock_sigma": np.ones(1)}
+        FactorModelSpec(**fields)
+        with pytest.raises(ValueError) as exc:
+            FactorModelSpec(**{**fields, **overrides})
+        assert str(exc.value) == message
+
 
 class TestSimulate:
     def test_row_count_exact(self):
@@ -120,6 +146,16 @@ class TestLagAlign:
         aligned = lag_align(series, 1)
         assert aligned.T == 99
         assert np.allclose(aligned.values[:, 1], aligned.values[:, 0], atol=1e-6)
+
+    @pytest.mark.parametrize("rows, lag, message", [
+        (5, -1, "lag must be nonnegative"),
+        (2, 2, "series of length 2 too short for lag 2"),
+    ], ids=["negative-lag", "too-short"])
+    def test_rejects_a_lag_it_cannot_apply(self, rows, lag, message):
+        series = RealSeries(np.zeros((rows, 2)), ["f", "p"], n_factors=1)
+        with pytest.raises(ValueError) as exc:
+            lag_align(series, lag)
+        assert str(exc.value) == message
 
     def test_simulate_dataset_row_count(self):
         spec = market_factor_spec(seed=10)
@@ -242,6 +278,12 @@ class TestEstimateSpec:
         with pytest.raises(ValueError, match="aligned"):
             estimate_spec(returns, factors, lag=1)
 
+    def test_negative_lag(self):
+        factors = RealSeries(np.zeros((10, 2)), ["a", "b"])
+        returns = RealSeries(np.zeros((10, 1)), ["p"])
+        with pytest.raises(ValueError, match="^lag must be nonnegative$"):
+            estimate_spec(returns, factors, lag=-1)
+
 
 class TestSeriesCsv:
     def test_reads_headered_csv(self):
@@ -260,7 +302,8 @@ class TestSeriesCsv:
         ("a,b\n1,2\n3\n", "row 3: 1 cells, expected 2"),
         ("a,b\n1,2,3\n", "row 2: 3 cells, expected 2"),
         ("a,b\n", "CSV has a header but no data rows"),
-    ], ids=["non-numeric-cell", "short-row", "long-row", "header-only"])
+        ("", "empty CSV"),
+    ], ids=["non-numeric-cell", "short-row", "long-row", "header-only", "empty"])
     def test_malformed_csv_names_the_place(self, text, message):
         with pytest.raises(CsvFormatError) as exc:
             series_from_csv(text)
@@ -269,6 +312,17 @@ class TestSeriesCsv:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             RealSeries(np.array([[np.inf]]), ["x"])
+
+    @pytest.mark.parametrize("values, names, n_factors, message", [
+        (np.zeros(3), ["x"], 0, "expected a 2-D matrix, got shape (3,)"),
+        (np.zeros((3, 2)), ["x"], 0, "2 columns but 1 names"),
+        (np.zeros((3, 2)), ["x", "y"], 3, "n_factors out of range"),
+        (np.zeros((3, 2)), ["x", "y"], -1, "n_factors out of range"),
+    ], ids=["1-D", "name-count", "n_factors-high", "n_factors-negative"])
+    def test_series_checks(self, values, names, n_factors, message):
+        with pytest.raises(ValueError) as exc:
+            RealSeries(values, names, n_factors)
+        assert str(exc.value) == message
 
 
 class TestGenerateInstance:

@@ -188,6 +188,15 @@ class TestSweepConfig:
             tiny_config(**{key: value})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("repetitions", 0, "repetitions must be >= 1"),
+        ("confidence_threshold", 1.5, "confidence_threshold must lie in [0, 1]"),
+    ])
+    def test_out_of_range_value_names_the_key(self, key, value, message):
+        with pytest.raises(ModelSchemaError) as exc:
+            tiny_config(**{key: value})
+        assert str(exc.value) == message
+
     def test_generator_range_checked_when_parsed(self):
         # before run_sweep starts a worker, not inside one
         with pytest.raises(ModelSchemaError) as exc:

@@ -393,10 +393,15 @@ class TestJsonReaders:
                      "cpts[3]: unknown cpts entry keys: comment", id="4th-cpt-key"),
         pytest.param("model", edited(MODEL12, ["cpts", 5, "table"], [0.5, 0.5]),
                      "cpts[5]: table has 2 entries, expected 1", id="6th-cpt-size"),
+        pytest.param("model", edited(MODEL, ["rank"], [-1, 0]),
+                     "invalid model: node 0: rank -1 is negative", id="negative-rank"),
         pytest.param("tree", edited(DEEP_TREE, ["root", "right", "left", "label"], "meh"),
                      "root.right.left: label must be", id="deep-leaf-label"),
         pytest.param("tree", edited(DEEP_TREE, ["root", "right", "left", "counts"], [1]),
                      "root.right.left: counts must be a list of 2", id="deep-leaf-counts"),
+        pytest.param("tree", edited(DEEP_TREE, ["root", "right", "left", "counts"], [-1, 2]),
+                     "root.right.left: counts must be two nonnegative integers, got [-1, 2]",
+                     id="deep-leaf-negative-count"),
         pytest.param("tree", edited(DEEP_TREE, ["root", "right", "feature"], -1),
                      "root.right: feature must be >= 0", id="deep-split-feature"),
         pytest.param("tree", edited(DEEP_TREE, ["root", "right", "feature"], 0),

@@ -197,6 +197,17 @@ class TestLogLikelihood:
         ds = dataset([[1, 1], [0, 0]])
         assert np.isfinite(log_likelihood(ds, Dag(2, [(0, 1)])))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda ds: log_likelihood(ds, Dag(3)), "structure has 3 nodes, dataset has 2"),
+        (lambda ds: fit_cpts(ds, Dag(3)), "structure has 3 nodes, dataset has 2"),
+        (lambda ds: hill_climb(ds, EdgeSet(3), LearnOptions(seed=0)),
+         "candidate set has 3 nodes, dataset has 2"),
+    ], ids=["log_likelihood", "fit_cpts", "hill_climb"])
+    def test_node_count_mismatch(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(dataset([[0, 1], [1, 0]]))
+        assert str(exc.value) == message
+
 
 class TestRegularizedScore:
     def test_empty_graph_is_twice_ll(self):

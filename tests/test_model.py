@@ -21,6 +21,7 @@ from sbcn.model import (
     SbcnModel,
     dag_from_json,
     dag_to_json,
+    _row_keys,
     has_cycle,
     scenarios_to_csv,
 )
@@ -101,6 +102,15 @@ class TestBinaryDataset:
         with pytest.raises(ValueError):
             BinaryDataset(np.zeros((0, 2)), ["a", "b"], [0, 0])
 
+    @pytest.mark.parametrize("values, rank, message", [
+        ([0, 1], [0, 0], "expected a 2-D matrix, got shape (2,)"),
+        ([[0, 1]], [0, -1], "ranks must be nonnegative"),
+    ], ids=["1-D", "negative-rank"])
+    def test_rejects_a_vector_and_a_negative_rank(self, values, rank, message):
+        with pytest.raises(ValueError) as exc:
+            BinaryDataset(values, ["a", "b"], rank)
+        assert str(exc.value) == message
+
     def test_values_immutable(self):
         ds = BinaryDataset([[0, 1]], ["a", "b"], [0, 0])
         with pytest.raises(ValueError):
@@ -130,6 +140,14 @@ class TestBinaryDataset:
         assert ds.distinct_rows is ds.distinct_rows  # grouped once
         with pytest.raises(ValueError):
             rows[0, 0] = True
+
+    @pytest.mark.parametrize("c", [0, 1, 8, 9, 16, 17])
+    def test_row_keys_of_either_layout(self, c):
+        # a column-major matrix of up to 16 columns is stored column by column
+        columns = np.random.default_rng(c).integers(0, 2, size=(c, 8192 + 5), dtype=np.uint8)
+        want = (columns.astype(np.int64) << np.arange(c)[:, None]).sum(axis=0)
+        for rows in (columns.T, np.ascontiguousarray(columns.T), columns.T.astype(bool)):
+            assert _row_keys(rows).tolist() == want.tolist()
 
 
 class TestDatasetCsv:
@@ -191,6 +209,17 @@ class TestDag:
     def test_parents_sorted(self):
         dag = Dag(4, [(2, 3), (0, 3), (1, 3)])
         assert dag.parents(3) == (0, 1, 2)
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_parents_of_a_node_out_of_range(self, v):
+        # read from per-node tuples, -1 would otherwise give node 3's parents
+        with pytest.raises(ValueError, match=rf"^node {v} out of range for n=4$"):
+            Dag(4, [(0, 3)]).parents(v)
+
+    def test_parent_tuples_are_not_a_field(self):
+        dag = Dag(3, [(0, 2), (1, 2)])
+        assert dag == Dag(3, [(1, 2), (0, 2)]) and hash(dag) == hash(Dag(3, [(1, 2), (0, 2)]))
+        assert repr(dag).startswith("Dag(n=3, edges=frozenset(") and "_parents" not in repr(dag)
 
     def test_cycle_check_matches_dfs_oracle_exhaustive_n4(self):
         n = 4
@@ -266,6 +295,7 @@ class TestValidateModel:
     @pytest.mark.parametrize("rank, names, problem", [
         ([0], None, "rank has 1 entries, expected 2"),
         ([0, 0], ["a"], "names has 1 entries, expected 2"),
+        ([-1, 0], None, "node 0: rank -1 is negative"),
     ])
     def test_constructor_checks_lengths_across_parts(self, rank, names, problem):
         cpts = [Cpt(0, [], [0.5]), Cpt(1, [0], [0.5, 0.5])]

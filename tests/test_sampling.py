@@ -93,6 +93,10 @@ class TestAncestralSample:
     def test_zero_count(self):
         assert ancestral_sample(chain_model(), 0, seed=0).shape == (0, 3)
 
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match="^count must be nonnegative$"):
+            ancestral_sample(chain_model(), -1, 0)
+
     def test_deterministic(self):
         model = chain_model()
         assert np.array_equal(
