@@ -352,7 +352,9 @@ def _pattern_up_counts(blocks, n_factors: int, max_up: int):
 
 
 def _merged(held):
-    """One (distinct keys, counts) pair of several."""
+    """One (distinct keys, counts) pair of several; of none, an empty pair."""
+    if not held:
+        return np.empty(0, np.uint8), np.empty(0, np.int64)
     if len(held) == 1:
         return held[0]
     keys, inverse = np.unique(np.concatenate([keys for keys, _ in held]), return_inverse=True)

@@ -26,31 +26,53 @@ def _blocks(model: SbcnModel, count: int, seed: int):
     ``rng.random((rows, n))`` lies below the CPT entry for row r's parent
     configuration.  Each yielded array is overwritten by the next block;
     ``count`` must be nonnegative.
+
+    A node is fixed, the same in every row, when the entries its fixed
+    parents leave reachable are all 0.0 or all 1.0: uniforms lie in [0, 1),
+    so none lies below 0.0 and every one lies below 1.0.  A fixed node's row
+    is filled; its children read it as a constant, folded into the
+    ``offset`` their index starts from (parent j at 1 sets bit j), and nodes
+    with the same random parents and offset share that index.  A node whose
+    reachable entries are all equal (every parentless and clamped node, and
+    every node whose parents are all fixed) is compared with that one entry,
+    with no index and no gather.
     """
     n = model.n
     rng = np.random.default_rng(seed)
-    nodes = []  # (cpt, its one entry when all entries are equal, else None)
+    fixed: dict[int, int] = {}  # node -> its value in every row
+    nodes = []  # (node, its one entry or else its table, None or else (offset, random parents))
     for cpt in map(model.cpt, topological_order(model.dag)):
-        table = cpt.table
-        nodes.append((cpt, table[0] if (table == table[0]).all() else None))
+        mask = sum(1 << j for j, p in enumerate(cpt.parents) if p in fixed)
+        offset = sum(fixed[p] << j for j, p in enumerate(cpt.parents) if p in fixed)
+        entries = cpt.table[(np.arange(len(cpt.table)) & mask) == offset]
+        if (entries == entries[0]).all():
+            if entries[0] in (0.0, 1.0):
+                fixed[cpt.node] = int(entries[0])
+            nodes.append((cpt.node, entries[0], None))
+        else:
+            random = tuple((j, p) for j, p in enumerate(cpt.parents) if p not in fixed)
+            nodes.append((cpt.node, cpt.table, (offset, random)))
     bits = np.empty((n, min(count, _BLOCK_ROWS)), dtype=np.uint8)
     for start in range(0, count, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, count - start)
         uniforms = rng.random((rows, n))
         block = bits[:, :rows]
-        configs: dict[tuple[int, ...], np.ndarray] = {}  # parent set -> index
-        for cpt, entry in nodes:
-            if entry is not None:  # every parentless and every clamped node
-                np.less(uniforms[:, cpt.node], entry, out=block[cpt.node])
-                continue
-            idx = configs.get(cpt.parents)
-            if idx is None:
-                # parent j is bit j, the layout of Cpt.table
-                idx = np.zeros(rows, dtype=np.intp)
-                for j, p in enumerate(cpt.parents):
-                    idx |= np.left_shift(block[p], j, dtype=np.intp)
-                configs[cpt.parents] = idx
-            np.less(uniforms[:, cpt.node], cpt.table[idx], out=block[cpt.node])
+        configs: dict[tuple, np.ndarray] = {}  # (offset, random parents) -> index
+        for node, table, config in nodes:
+            if node in fixed:
+                block[node] = fixed[node]
+            elif config is None:
+                np.less(uniforms[:, node], table, out=block[node])
+            else:
+                idx = configs.get(config)
+                if idx is None:
+                    # parent j is bit j, the layout of Cpt.table
+                    offset, random = config
+                    idx = np.full(rows, offset, dtype=np.intp)
+                    for j, p in random:
+                        idx |= np.left_shift(block[p], j, dtype=np.intp)
+                    configs[config] = idx
+                np.less(uniforms[:, node], table[idx], out=block[node])
         yield block
 
 

@@ -308,6 +308,14 @@ class TestTreeFromBlocks:
         assert got == (want, int(labels.sum()), cut)
         assert isinstance(got[1], int)
 
+    @pytest.mark.parametrize("n_factors, max_up, dense_cells", [
+        (5, 10, classifier._DENSE_CELLS), (5, 10, 0), (12, 20, classifier._DENSE_CELLS)])
+    def test_no_rows(self, n_factors, max_up, dense_cells):
+        # the dense table and the merged keys past it refuse an empty stream alike
+        with mock.patch.object(classifier, "_DENSE_CELLS", dense_cells), \
+                pytest.raises(ValueError, match="^need at least one scenario to label$"):
+            tree_from_blocks(iter([]), n_factors, max_up, 0.1)
+
 
 class TestRiskyPaths:
     def test_profitable_leaf_gives_no_paths(self):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,12 @@ def chain_model(probs=(0.5, 0.8, 0.3)):
         Cpt(2, [1], [0.1, 0.7]),
     ]
     return SbcnModel(dag, cpts, [0, 1, 2])
+
+
+def holds(n, assignment):
+    """Which of the 2**n states of :func:`exact_joint` carry ``assignment``."""
+    states = np.arange(2**n)
+    return np.all([(states >> v & 1) == x for v, x in assignment.items()], axis=0)
 
 
 class TestTopologicalOrder:
@@ -151,6 +159,49 @@ class TestClamp:
                 )
                 assert marginal(joint, other) == pytest.approx(marginal(base, other), abs=1e-12)
 
+    def test_root_clamp_equals_conditioning(self):
+        # do() on parentless nodes is conditioning on them, state for state
+        rng = np.random.default_rng(12)
+        for trial in range(10):
+            n = int(rng.integers(2, 9))
+            model = random_cpt_model(rng, n, edge_prob=0.5)
+            roots = [v for v in range(n) if not model.cpt(v).parents]
+            chosen = rng.choice(roots, size=int(rng.integers(1, len(roots) + 1)), replace=False)
+            assignment = {int(v): int(rng.integers(0, 2)) for v in chosen}
+            base = np.where(holds(n, assignment), exact_joint(model), 0.0)
+            np.testing.assert_allclose(exact_joint(clamp(model, assignment)), base / base.sum(),
+                                       rtol=1e-12, atol=0)
+
+    def test_clamp_below_a_drawn_ancestor_is_not_conditioning(self):
+        # do() on a node with an unclamped parent leaves every ancestor's
+        # marginal as it was, so it differs from conditioning on that node
+        rng = np.random.default_rng(13)
+        checked = 0
+        for trial in range(10):
+            n = int(rng.integers(3, 9))
+            model = random_cpt_model(rng, n, edge_prob=0.5)
+            children = [v for v in range(n) if model.cpt(v).parents]
+            if not children:
+                continue
+            node = children[int(rng.integers(0, len(children)))]
+            assignment = {node: int(rng.integers(0, 2))}
+            base = exact_joint(model)
+            clamped = exact_joint(clamp(model, assignment))
+            conditioned = np.where(holds(n, assignment), base, 0.0)
+            assert total_variation(clamped, conditioned / conditioned.sum()) > 1e-6
+            ancestors, stack = set(), [node]
+            while stack:
+                for parent in model.cpt(stack.pop()).parents:
+                    if parent not in ancestors:
+                        ancestors.add(parent)
+                        stack.append(parent)
+            states = np.arange(2**n)
+            for u in ancestors:
+                up = (states >> u & 1) == 1
+                assert clamped[up].sum() == pytest.approx(base[up].sum(), rel=1e-12)
+            checked += 1
+        assert checked >= 8
+
     def test_clamp_validation(self):
         model = chain_model()
         with pytest.raises(ValueError):
@@ -259,3 +310,103 @@ class TestBlockedSampler:
         got = ancestral_sample(model, count, 11)
         assert np.array_equal(got, ancestral_sample_oracle(model, count, 11))
         assert 0 < got[:, 2].sum() < count and not got[:, 3].any() and got[:, 4].all()
+
+
+_default_rng = np.random.default_rng
+
+
+class EdgeUniforms:
+    """``default_rng(seed)`` with each uniform below 0.1 moved to 0.0 and each
+    from 0.9 up to 1 - 2**-53, the largest float64 below 1: the two ends of
+    [0, 1), in the same cells whether the stream is drawn whole or in blocks."""
+
+    def __init__(self, seed):
+        self._rng = _default_rng(seed)
+
+    def random(self, size):
+        uniforms = self._rng.random(size)
+        uniforms[uniforms < 0.1] = 0.0
+        uniforms[uniforms >= 0.9] = 1.0 - 2**-53
+        return uniforms
+
+
+def equals_oracle(model, count, seed=3):
+    """The blocked draw under :class:`EdgeUniforms`, checked against the
+    whole-matrix oracle under the same uniforms."""
+    with mock.patch.object(np.random, "default_rng", EdgeUniforms):
+        got = ancestral_sample(model, count, seed)
+        assert np.array_equal(got, ancestral_sample_oracle(model, count, seed))
+    return got
+
+
+def uniform_model(dag, seed):
+    rng = np.random.default_rng(seed)
+    cpts = [Cpt(v, dag.parents(v), rng.uniform(0.1, 0.9, 2 ** len(dag.parents(v))))
+            for v in range(dag.n)]
+    return SbcnModel(dag, cpts, [0] * dag.n)
+
+
+class TestClampFold:
+    """Nodes fixed by the clamp, or by entries of exactly 0.0 or 1.0, and the
+    nodes that read them, against the whole-matrix sampler."""
+
+    @pytest.mark.parametrize("count", [B - 1, B + 1, 2 * B + 1])
+    def test_every_parent_clamped(self, count):
+        # node 3 reads only clamped parents, node 4 a clamped and a drawn one
+        dag = Dag(5, [(0, 3), (1, 3), (2, 3), (0, 4), (3, 4)])
+        got = equals_oracle(clamp(uniform_model(dag, count), {0: 1, 1: 0, 2: 1}), count)
+        assert 0 < got[:, 3].sum() < count and 0 < got[:, 4].sum() < count
+
+    @pytest.mark.parametrize("count", [B - 1, B + 1, 2 * B + 1])
+    def test_fixed_entries_fix_a_chain(self, count):
+        # clamping node 0 reaches entry 1.0 of node 1, and through it entry 0.0
+        # of node 2; node 3 then reads one entry, and node 5 a fixed and a
+        # drawn parent
+        dag = Dag(6, [(0, 1), (1, 2), (2, 3), (2, 5), (4, 5)])
+        cpts = [Cpt(0, [], [0.5]), Cpt(1, [0], [0.3, 1.0]), Cpt(2, [1], [0.4, 0.0]),
+                Cpt(3, [2], [0.7, 0.2]), Cpt(4, [], [0.6]), Cpt(5, [2, 4], [0.1, 0.8, 1.0, 0.0])]
+        got = equals_oracle(clamp(SbcnModel(dag, cpts, [0] * 6), {0: 1}), count)
+        assert got[:, 1].all() and not got[:, 2].any()
+        assert 0 < got[:, 3].sum() < count and 0 < got[:, 5].sum() < count
+
+    @pytest.mark.parametrize("count", [B - 1, B + 1, 2 * B + 1])
+    def test_entries_inside_the_unit_interval_are_drawn(self, count):
+        # a uniform can equal 1 - 2**-53 or 0.0, so neither that entry nor the
+        # smallest positive one fixes a node: parentless (nodes 0 and 4),
+        # folded (node 2) or held in every entry (node 3)
+        top = 1.0 - 2**-53
+        dag = Dag(5, [(1, 2), (0, 3)])
+        cpts = [Cpt(0, [], [top]), Cpt(1, [], [0.5]), Cpt(2, [1], [0.2, top]),
+                Cpt(3, [0], [top, top]), Cpt(4, [], [5e-324])]
+        got = equals_oracle(clamp(SbcnModel(dag, cpts, [0] * 5), {1: 1}), count)
+        for v in (0, 2, 3, 4):
+            assert 0 < got[:, v].sum() < count
+
+    @pytest.mark.parametrize("count", [B - 1, B + 1, 2 * B + 1])
+    def test_parentless_one(self, count):
+        # node 0 is 1 in every row with no clamp; node 3 reads only it, and
+        # node 2 reads it beside a drawn parent
+        dag = Dag(4, [(0, 2), (1, 2), (0, 3)])
+        cpts = [Cpt(0, [], [1.0]), Cpt(1, [], [0.4]), Cpt(2, [0, 1], [0.0, 0.0, 0.3, 0.9]),
+                Cpt(3, [0], [0.8, 0.25])]
+        got = equals_oracle(SbcnModel(dag, cpts, [0] * 4), count)
+        assert got[:, 0].all() and 0 < got[:, 2].sum() < count
+
+    @pytest.mark.parametrize("count", [B - 1, B + 1, 2 * B + 1])
+    def test_same_drawn_parents_at_another_offset(self, count):
+        # nodes 4 and 5 share the parents (0, 2, 3), with node 0 clamped to 0;
+        # node 6 reads the same drawn parents at the same bits, but its clamped
+        # parent 1 is 1, so its index differs from theirs in bit 0
+        dag = Dag(7, [(p, c) for c in (4, 5) for p in (0, 2, 3)] + [(p, 6) for p in (1, 2, 3)])
+        equals_oracle(clamp(uniform_model(dag, count), {0: 0, 1: 1}), count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sampler_models(), st.data(),
+           st.sampled_from([0, 1, B - 1, B + 1, 2 * B + 1]) | st.integers(0, 50),
+           st.integers(0, 2**32))
+    def test_clamps_of_up_to_every_node(self, model, data, count, seed):
+        # sampler_models clamps at most 3 nodes; clamping any number makes
+        # nodes whose parents are all fixed common
+        assignment = data.draw(st.dictionaries(st.integers(0, model.n - 1), st.integers(0, 1),
+                                               max_size=model.n))
+        equals_oracle(clamp(model, assignment), count, seed)
