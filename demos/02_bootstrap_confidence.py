@@ -28,8 +28,9 @@ false_conf = [report.confidence[e] for e in model.dag.edges if e not in truth.ed
 print(f"mean confidence: true arcs {sum(true_conf) / len(true_conf):.2f}, "
       f"spurious arcs {sum(false_conf) / len(false_conf):.2f}")
 
-pruned = prune(model, report, data, threshold=0.5)
+# drop the arcs below the report's threshold, 0.5 by default, and refit the CPTs
+pruned = prune(model, report, data)
 after = arc_contingency(pruned.dag, truth)
-print(f"kept {len(pruned.dag.edges)} arcs at confidence >= 0.5 "
+print(f"kept {len(pruned.dag.edges)} arcs at confidence >= {report.threshold} "
       f"(fp/inferred {before.fp_rate_of_inferred:.2f} -> {after.fp_rate_of_inferred:.2f}, "
       f"fn/true {before.fn_rate_of_true:.2f} -> {after.fn_rate_of_true:.2f})")

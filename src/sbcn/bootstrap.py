@@ -20,7 +20,7 @@ from .seeds import derive_seed
 
 @dataclass(frozen=True)
 class BootstrapReport:
-    """Arc retrieval frequencies over ``replicates`` bootstrap reruns."""
+    """Arc retrieval frequencies over ``replicates`` bootstrap reruns, and the ``threshold`` :func:`prune` applies."""
 
     replicates: int
     confidence: dict[tuple[int, int], float]
@@ -116,20 +116,16 @@ def edge_confidence(
 
 
 def prune(
-    model: SbcnModel,
-    report: BootstrapReport,
-    dataset: BinaryDataset,
-    threshold: float = 0.5,
-    smoothing: float = 1.0,
+    model: SbcnModel, report: BootstrapReport, dataset: BinaryDataset, smoothing: float = 1.0
 ) -> SbcnModel:
-    """Drop arcs with confidence below ``threshold`` and refit the CPTs.
+    """Drop arcs with confidence below ``report.threshold`` and refit the CPTs.
 
     Arcs missing from the report count as confidence 0.  Keeping is
     inclusive: an arc exactly at the threshold survives.  CPTs are refit on
     the original data because removing a parent changes table dimensions.
     The surviving arcs' confidences are stored on the returned model.
     """
-    kept = {e for e in model.dag.edges if report.confidence.get(e, 0.0) >= threshold}
+    kept = {e for e in model.dag.edges if report.confidence.get(e, 0.0) >= report.threshold}
     pruned = fit_cpts(dataset, Dag(model.n, kept), smoothing)
     confidence = {e: report.confidence.get(e, 0.0) for e in kept}
     return SbcnModel(pruned.dag, pruned.cpts, model.rank, confidence, model.names)

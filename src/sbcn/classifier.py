@@ -52,6 +52,7 @@ def label_measure(
     measure among the risky ones.  Returns ``(labels, cut)``; the cut is
     None when no scenario is risky.
     """
+    _check_fraction(risky_fraction)
     measure = np.asarray(measure)
     if measure.ndim != 1:
         raise ValueError(f"label_measure takes a 1-D measure, got shape {measure.shape}")
@@ -62,11 +63,15 @@ def label_measure(
     return (np.zeros(count, dtype=bool) if cut is None else measure <= cut), cut
 
 
+def _check_fraction(risky_fraction: float) -> None:
+    """Refuse a risky fraction outside [0, 1], NaN included, before any labeling."""
+    if not 0.0 <= risky_fraction <= 1.0:
+        raise ValueError("risky_fraction must lie in [0, 1]")
+
+
 def _cut(risky_fraction: float, count: int, kth) -> float | None:
     """The risky cut of ``count`` up measures: the k-th smallest, read by
     ``kth(k)``, for k = ceil(risky_fraction * count); None when k is 0."""
-    if not 0.0 <= risky_fraction <= 1.0:
-        raise ValueError("risky_fraction must lie in [0, 1]")
     if count < 1:
         raise ValueError("need at least one scenario to label")
     k = math.ceil(risky_fraction * count)
@@ -278,6 +283,7 @@ def tree_from_blocks(blocks, n_factors: int, max_up: int, risky_fraction: float,
     count is the label's measure.  Returns ``(tree, risky rows, cut)``,
     the tree's features named by ``feature_names``.
     """
+    _check_fraction(risky_fraction)
     patterns, ups, counts = _pattern_up_counts(blocks, n_factors, max_up)
     histogram = np.cumsum(np.bincount(ups, counts))  # float64 sums of integers
     cut = _cut(risky_fraction, int(counts.sum()), lambda k: np.searchsorted(histogram, k))

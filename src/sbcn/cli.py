@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields, replace
 from typing import get_type_hints
 
-from .bootstrap import edge_confidence, prune
+from .bootstrap import BootstrapReport, edge_confidence, prune
 from .classifier import stress_blocks, stress_tree
 from .datagen import GENERATOR_MODES, generate_instance
 from .evaluation import RATE_FIELDS, SweepConfig, arc_contingency, run_sweep
@@ -114,9 +114,9 @@ def _cmd_infer(args) -> int:
             threads=args.threads,
         )
         report = replace(report, threshold=args.confidence)
-        model = prune(model, report, data, args.confidence, options.smoothing)
+        model = prune(model, report, data, options.smoothing)
         _log(
-            f"bootstrap B={args.bootstrap}, threshold {args.confidence}: "
+            f"bootstrap B={args.bootstrap}, threshold {report.threshold}: "
             f"{len(model.dag.edges)} arcs survive"
         )
         if args.out_report:
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="complexity measure in the score: arc count or free CPT parameters",
     )
     p.add_argument("--bootstrap", type=_count, default=0, metavar="B", help="replicates; 0 disables")
-    p.add_argument("--confidence", type=_fraction, default=0.5, help="bootstrap pruning threshold")
+    p.add_argument("--confidence", type=_fraction, default=BootstrapReport.threshold, help="bootstrap pruning threshold")
     p.add_argument("--seed", type=_search("seed"), default=LearnOptions.seed)
     p.add_argument("--max-iterations", type=_search("max_iterations"),
                    default=LearnOptions.max_iterations)

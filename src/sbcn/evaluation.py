@@ -13,7 +13,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .bootstrap import _fan_out, edge_confidence, prune
+from .bootstrap import BootstrapReport, _fan_out, edge_confidence, prune
 from .datagen import generate_instance, generator_params
 from .learn import LearnOptions, _candidate_rule, learn_model
 from .model import ContingencyStats, Dag, ModelSchemaError, _json_object
@@ -50,7 +50,7 @@ class SweepConfig:
     repetitions: int
     seed: int
     bootstrap_replicates: int = 100
-    confidence_threshold: float = 0.5
+    confidence_threshold: float = BootstrapReport.threshold
     search: LearnOptions = LearnOptions()
 
     #: Config keys that set the ``LearnOptions`` field of the same name: those that reach
@@ -174,7 +174,7 @@ def _sweep_rep(rep: _SweepRep) -> dict[str, float]:
         report = edge_confidence(
             data, options, config.bootstrap_replicates, model=model, learner=rep.learner
         )
-        model = prune(model, report, data, config.confidence_threshold, options.smoothing)
+        model = prune(model, replace(report, threshold=config.confidence_threshold), data, options.smoothing)
     stats = arc_contingency(model.dag, truth)
     return {f: getattr(stats, f) for f in RATE_FIELDS}
 

@@ -190,17 +190,11 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     width = size if size > 8 else 1 << max(size - 1, 0).bit_length()
     keys = np.empty(m, dtype=f"S{width}" if size > 8 else f"<u{width}")
     # 8192 zero-padded rows at a time: numpy packs one flat run of bits far
-    # faster than many short rows, and the buffer stays small; a column-major
-    # matrix of up to 16 columns is stored one long column copy at a time,
-    # faster than its many short rows
+    # faster than many short rows, and the buffer stays small
     bits = np.zeros((min(m, 8192), 8 * width), dtype=bool)
     for start in range(0, m, 8192):
         chunk = rows[start:start + 8192]
-        if c <= 16 and chunk.strides[0] < chunk.strides[1]:
-            for j in range(c):
-                bits[:len(chunk), j] = chunk[:, j]
-        else:
-            bits[:len(chunk), :c] = chunk
+        bits[:len(chunk), :c] = chunk
         keys[start:start + len(chunk)] = np.packbits(bits[:len(chunk)], bitorder="little").view(keys.dtype)
     return keys
 

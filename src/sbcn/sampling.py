@@ -24,8 +24,8 @@ def _blocks(model: SbcnModel, count: int, seed: int):
 
     Cell (v, r) of a block is 1 exactly when uniform (r, v) of the block's
     ``rng.random((rows, n))`` lies below the CPT entry for row r's parent
-    configuration.  Each yielded array is overwritten by the next block;
-    ``count`` must be nonnegative.
+    configuration.  Each yielded array is overwritten by the next block.
+    A negative ``count`` fails at the first block, with no draw.
 
     A node is fixed, the same in every row, when the entries its fixed
     parents leave reachable are all 0.0 or all 1.0: uniforms lie in [0, 1),
@@ -37,6 +37,8 @@ def _blocks(model: SbcnModel, count: int, seed: int):
     every node whose parents are all fixed) is compared with that one entry,
     with no index and no gather.
     """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     n = model.n
     rng = np.random.default_rng(seed)
     fixed: dict[int, int] = {}  # node -> its value in every row

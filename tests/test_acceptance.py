@@ -149,7 +149,7 @@ def _criterion4_rep(rep):
     )
     model = learn_sbcn(data, opts)
     report = edge_confidence(data, opts, 100, model=model)
-    pruned = prune(model, report, data, 0.5)
+    pruned = prune(model, report, data)
     stats = arc_contingency(pruned.dag, truth)
     return stats.fp_rate_of_inferred, stats.fn_rate_of_true
 

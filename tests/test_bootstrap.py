@@ -127,22 +127,16 @@ class TestPrune:
     def test_threshold_boundary_inclusive(self):
         ds = copy_edge_dataset(7)
         model = fit_cpts(ds, Dag(2, [(0, 1)]))
-        report = BootstrapReport(100, {(0, 1): 0.50})
-        assert prune(model, report, ds, 0.5).dag.edges == frozenset({(0, 1)})
-        report = BootstrapReport(100, {(0, 1): 0.49})
-        assert prune(model, report, ds, 0.5).dag.edges == frozenset()
+        report = BootstrapReport(100, {(0, 1): 0.50}, threshold=0.5)
+        assert prune(model, report, ds).dag.edges == frozenset({(0, 1)})
+        report = BootstrapReport(100, {(0, 1): 0.49}, threshold=0.5)
+        assert prune(model, report, ds).dag.edges == frozenset()
 
     def test_zero_threshold_keeps_all(self):
         ds = copy_edge_dataset(8)
         model = fit_cpts(ds, Dag(2, [(0, 1)]))
-        report = BootstrapReport(4, {})
-        assert prune(model, report, ds, 0.0).dag.edges == model.dag.edges
-
-    def test_threshold_above_one_empties(self):
-        ds = copy_edge_dataset(9)
-        model = fit_cpts(ds, Dag(2, [(0, 1)]))
-        report = BootstrapReport(4, {(0, 1): 1.0})
-        assert prune(model, report, ds, 1.5).dag.edges == frozenset()
+        report = BootstrapReport(4, {}, threshold=0.0)
+        assert prune(model, report, ds).dag.edges == model.dag.edges
 
     def test_pruned_edges_subset_and_cpts_refit(self):
         rng = np.random.default_rng(10)
@@ -159,8 +153,8 @@ class TestPrune:
     def test_missing_report_entries_mean_zero(self):
         ds = copy_edge_dataset(11)
         model = fit_cpts(ds, Dag(2, [(0, 1)]))
-        report = BootstrapReport(10, {})
-        assert prune(model, report, ds, 0.5).dag.edges == frozenset()
+        report = BootstrapReport(10, {}, threshold=0.5)
+        assert prune(model, report, ds).dag.edges == frozenset()
 
 
 class TestReportJson:

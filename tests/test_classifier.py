@@ -18,11 +18,13 @@ from sbcn.classifier import (
     label_scenarios,
     learn_tree,
     risky_paths,
+    stress_blocks,
+    stress_tree,
     tree_from_blocks,
     up_counts,
 )
 from sbcn import classifier
-from sbcn.model import ModelSchemaError
+from sbcn.model import Cpt, Dag, ModelSchemaError, SbcnModel
 
 
 def scenarios_with_factor_rule(rng, count=1000, n_factors=5, n_stocks=10):
@@ -251,6 +253,12 @@ class TestDistinctRowTree:
         assert learn_tree(features, labels) == learn_tree_oracle(features, labels)
 
 
+def unread_blocks():
+    """A blocks iterator that fails the test if a block is read from it."""
+    raise AssertionError("a block was read before risky_fraction was checked")
+    yield
+
+
 class TestLabelMeasure:
     def test_matches_label_scenarios_and_cut(self):
         rng = np.random.default_rng(11)
@@ -315,6 +323,28 @@ class TestTreeFromBlocks:
         with mock.patch.object(classifier, "_DENSE_CELLS", dense_cells), \
                 pytest.raises(ValueError, match="^need at least one scenario to label$"):
             tree_from_blocks(iter([]), n_factors, max_up, 0.1)
+
+    @pytest.mark.parametrize("fraction", [1.5, -0.1, math.nan])
+    def test_fraction_checked_before_any_block(self, fraction):
+        with pytest.raises(ValueError, match="^risky_fraction must lie in \\[0, 1\\]$"):
+            tree_from_blocks(unread_blocks(), 2, 3, fraction)
+
+
+class TestStressSteps:
+    # one factor (node 0) and two stocks
+    MODEL = SbcnModel(Dag(3, [(0, 1), (0, 2)]),
+                      [Cpt(0, [], [0.5]), Cpt(1, [0], [0.2, 0.9]), Cpt(2, [0], [0.3, 0.8])], [0, 1, 1])
+
+    def test_negative_count_gets_the_samplers_message(self):
+        with pytest.raises(ValueError, match="^count must be nonnegative$"):
+            stress_tree(self.MODEL, -1, 0.1, 1)
+        with pytest.raises(ValueError, match="^count must be nonnegative$"):
+            list(stress_blocks(self.MODEL, {0: 1}, -5, 1))
+
+    def test_fraction_checked_before_any_draw(self):
+        with mock.patch.object(classifier, "_blocks", lambda *args: unread_blocks()), \
+                pytest.raises(ValueError, match="risky_fraction"):
+            stress_tree(self.MODEL, 2_000_000, 1.5, 0)
 
 
 class TestRiskyPaths:

@@ -12,6 +12,7 @@ from sbcn.evaluation import (
     arc_contingency,
     run_sweep,
 )
+from sbcn.bootstrap import prune
 from sbcn.learn import LearnOptions, fit_cpts
 from sbcn.model import Dag, ModelSchemaError
 
@@ -332,6 +333,19 @@ class TestRunSweep:
         for options in seen:
             expected = LearnOptions(**settings, criterion=options.criterion, seed=options.seed)
             assert options == expected
+
+    @pytest.mark.parametrize("settings, threshold", [
+        ({}, 0.5), ({"confidence_threshold": 0.0}, 0.0), ({"confidence_threshold": 1.0}, 1.0)])
+    def test_confidence_threshold_reaches_prune(self, monkeypatch, settings, threshold):
+        seen = []
+
+        def recording(model, report, data, smoothing):
+            seen.append(report.threshold)
+            return prune(model, report, data, smoothing)
+
+        monkeypatch.setattr("sbcn.evaluation.prune", recording)
+        run_sweep(tiny_config(bootstrap=[True], bootstrap_replicates=2, **settings), threads=1)
+        assert seen == [threshold] * 2
 
     def test_log_line_per_cell(self):
         lines = []

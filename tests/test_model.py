@@ -143,7 +143,7 @@ class TestBinaryDataset:
 
     @pytest.mark.parametrize("c", [0, 1, 8, 9, 16, 17])
     def test_row_keys_of_either_layout(self, c):
-        # a column-major matrix of up to 16 columns is stored column by column
+        # the same keys for a column-major, a row-major and a bool matrix
         columns = np.random.default_rng(c).integers(0, 2, size=(c, 8192 + 5), dtype=np.uint8)
         want = (columns.astype(np.int64) << np.arange(c)[:, None]).sum(axis=0)
         for rows in (columns.T, np.ascontiguousarray(columns.T), columns.T.astype(bool)):

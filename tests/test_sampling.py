@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -202,12 +203,68 @@ class TestClamp:
             checked += 1
         assert checked >= 8
 
+    def test_root_clamp_samples_like_rejection(self):
+        # do() on parentless nodes is conditioning on them: the stressed draws
+        # and the ancestral draws that match the assignment share one law
+        rng = np.random.default_rng(14)
+        for trial in range(10):
+            n = int(rng.integers(2, 7))
+            model = random_cpt_model(rng, n, edge_prob=0.5)
+            roots = [v for v in range(n) if not model.cpt(v).parents]
+            chosen = rng.choice(roots, size=int(rng.integers(1, min(2, len(roots)) + 1)), replace=False)
+            assignment = {int(v): int(rng.integers(0, 2)) for v in chosen}
+            tv, bound = rejection_against_clamp(model, assignment, seed=100 + trial)
+            assert tv <= bound
+
+    def test_clamp_below_a_drawn_ancestor_samples_unlike_rejection(self):
+        # the empirical distance between the stressed draws and the matching
+        # ancestral draws is the exact one between do() and conditioning
+        rng = np.random.default_rng(15)
+        checked = powered = 0
+        for trial in range(10):
+            n = int(rng.integers(3, 7))
+            model = random_cpt_model(rng, n, edge_prob=0.5)
+            children = [v for v in range(n) if model.cpt(v).parents]
+            if not children:
+                continue
+            node = children[int(rng.integers(0, len(children)))]
+            assignment = {node: int(rng.integers(0, 2))}
+            conditioned = np.where(holds(n, assignment), exact_joint(model), 0.0)
+            exact = total_variation(exact_joint(clamp(model, assignment)), conditioned / conditioned.sum())
+            tv, bound = rejection_against_clamp(model, assignment, seed=200 + trial)
+            assert abs(tv - exact) <= bound
+            checked += 1
+            powered += exact > 2 * bound  # a sampler that conditioned would fail here
+        assert checked >= 8 and powered >= 5
+
     def test_clamp_validation(self):
         model = chain_model()
         with pytest.raises(ValueError):
             clamp(model, {7: 1})
         with pytest.raises(ValueError):
             clamp(model, {0: 2})
+
+
+def tv_bound(rows, states, delta=1e-6):
+    """A total variation distance that the empirical distribution of ``rows``
+    i.i.d. draws over ``states`` outcomes exceeds from its law with
+    probability at most ``delta``.  E||p_hat - p||_1 <= sqrt(states / rows) by
+    Cauchy-Schwarz, and one draw moves ||p_hat - p||_1 by at most 2 / rows,
+    so McDiarmid's inequality adds sqrt(2 ln(1 / delta) / rows)."""
+    return 0.5 * (math.sqrt(states / rows) + math.sqrt(2 * math.log(1 / delta) / rows))
+
+
+def rejection_against_clamp(model, assignment, seed):
+    """The total variation distance between the empirical joints of the
+    ancestral draws that match ``assignment`` (rejection sampling, that is
+    conditioning) and of ``stress_sample`` draws, and the bound that each
+    of the two, with probability 1 - 1e-6, adds to the distance of their laws."""
+    draws = ancestral_sample(model, 200_000, seed)
+    kept = draws[np.all([draws[:, v] == x for v, x in assignment.items()], axis=0)]
+    stressed = stress_sample(model, assignment, 100_000, seed + 1)
+    states = 2 ** (model.n - len(assignment))  # the clamped nodes are fixed in both
+    bound = tv_bound(len(kept), states) + tv_bound(len(stressed), states)
+    return total_variation(empirical_joint(kept), empirical_joint(stressed)), bound
 
 
 class TestStressSample:
